@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import TargetTrajectory, make_line_trajectory, make_lissajous_trajectory
-from .plants import PlantModel, get_plant
-from .solver import ConvergenceError, best_estimator, refine_ground_truth
+from .plants import get_plant
+from .solver import ConvergenceError, refine_iterates
 
 CAPTURE_RADIUS = 0.1
 PRECISIONS = (1e-3, 1e-6, 1e-9)
@@ -81,38 +82,22 @@ def benchmark_rows() -> list[BenchmarkRow]:
 
 
 def iteration_counts(
-    plant: PlantModel,
-    trajectory: TargetTrajectory,
-    ell: float,
+    times: Sequence[float],
     t_ref: float,
     deltas: tuple[float, ...] = PRECISIONS,
-    max_iterations: int = 200_000,
 ) -> tuple[int, ...]:
-    """Smallest n with t_ref - t_n < delta, for each delta.
+    """Smallest n with t_ref - times[n] < delta, for each delta.
 
-    Counts applications of the estimator step after t_0 = 0.
+    ``times`` is an iterate sequence starting at t_0 = 0, so n counts
+    applications of the estimator step.
     """
-    v = trajectory.speed_bound
-    pending = sorted(deltas, reverse=True)
-    reached: dict[float, int] = {}
-    t = 0.0
-    n = 0
-    while pending:
-        while pending and t_ref - t < pending[0]:
-            reached[pending.pop(0)] = n
-        if not pending:
-            break
-        if n >= max_iterations:
-            raise ConvergenceError(f"precision {pending[0]} not reached in {n} steps")
-        y = trajectory.position(t)
-        if plant.distance(t, y) <= ell:
-            # converged exactly onto the reference; remaining deltas are met
-            for delta in pending:
-                reached[delta] = n
-            break
-        t = best_estimator(plant, t, y, v, ell)
-        n += 1
-    return tuple(reached[d] for d in deltas)
+    counts = []
+    for delta in deltas:
+        n = next((n for n, t in enumerate(times) if t_ref - t < delta), None)
+        if n is None:
+            raise ConvergenceError(f"precision {delta} not reached in {len(times) - 1} steps")
+        counts.append(n)
+    return tuple(counts)
 
 
 @dataclass(frozen=True)
@@ -129,13 +114,18 @@ class TableCellResult:
 
 
 def run_table() -> list[TableCellResult]:
-    """Recompute every benchmark cell for both plants."""
+    """Recompute every benchmark cell for both plants.
+
+    One refinement run per cell gives both the reference capture time (its
+    last iterate) and the iteration counts (read off its iterates).
+    """
     results = []
     for row in benchmark_rows():
         for plant_name in PLANTS:
             plant = get_plant(plant_name)
-            t_ref = refine_ground_truth(plant, row.trajectory, CAPTURE_RADIUS)
-            counts = iteration_counts(plant, row.trajectory, CAPTURE_RADIUS, t_ref)
+            times = list(refine_iterates(plant, row.trajectory, CAPTURE_RADIUS))
+            t_ref = times[-1]
+            counts = iteration_counts(times, t_ref)
             results.append(
                 TableCellResult(
                     row.label, plant_name, t_ref, counts, row.reference[plant_name]

@@ -11,6 +11,7 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Sequence
 
 
@@ -105,7 +106,7 @@ class TargetTrajectory:
         if t >= samples[-1][0]:
             # target stops after the last sample
             return samples[-1][1]
-        i = bisect_right([s[0] for s in samples], t)
+        i = bisect_right(samples, t, key=itemgetter(0))
         t0, p0 = samples[i - 1]
         t1, p1 = samples[i]
         w = (t - t0) / (t1 - t0)

@@ -335,22 +335,17 @@ def distance(t: float, y: PlanarPoint) -> float:
     return _cc_nearest(t, y)[2]
 
 
-def dubins_best_estimator(t: float, y: PlanarPoint, v: float, ell: float) -> float:
+def dubins_best_estimator(t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
     """Largest known-safe step toward the capture time from (t, y).
 
-    Exact (the largest universally valid step) where the nearest reachable
-    point lies on the CS part of the boundary; elsewhere it falls back to
-    the generic distance-closing step, which is still safe.
+    ``rho`` is ``distance(t, y)``. Where the nearest reachable point lies on
+    the CS part of the boundary, rho is the remaining CS path length
+    v_cs(y) - t and the step t + (rho - ell)/(1 + v) is exact (the largest
+    universally valid step); elsewhere the same expression is the generic
+    distance-closing step, which is still safe.
     """
-    rho = distance(t, y)
     if rho <= ell:
         raise ValueError("point already within capture distance")
-    region = classify(y)
-    if region is not DubinsRegion.D_I:
-        if theta_cs(y) <= t and (
-            region is DubinsRegion.D_II or v_cs(y) >= t
-        ):
-            return t + (v_cs(y) - t - ell) / (1.0 + v)
     return t + (rho - ell) / (1.0 + v)
 
 
@@ -385,9 +380,15 @@ def _mirror_segments(segments: list) -> list:
     return flipped
 
 
-def dubins_path(t_star: float, y_target: PlanarPoint, ell: float) -> InterceptionPath:
-    """Reconstruct the duration-t_star path ending nearest to the target point."""
-    if distance(t_star, y_target) > ell + 1e-6:
+def dubins_path(
+    t_star: float, y_target: PlanarPoint, ell: float, reach: float
+) -> InterceptionPath:
+    """Reconstruct the duration-t_star path ending nearest to the target point.
+
+    The target must be within ``reach`` of the time-t_star reachable set;
+    ``ell`` is accepted for the plant interface and does not shorten the path.
+    """
+    if distance(t_star, y_target) > reach:
         raise ValueError("target point is not capturable at the requested time")
     mirrored = PlanarPoint(abs(y_target.x), y_target.y)
     best = None  # (distance, segments, endpoint) in the right half-plane
@@ -421,14 +422,16 @@ class DubinsCar(PlantModel):
     def contains(self, t: float, y: PlanarPoint) -> bool:
         return contains(t, y)
 
-    def best_step(self, t: float, y: PlanarPoint, v: float, ell: float) -> float:
-        return dubins_best_estimator(t, y, v, ell)
+    def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
+        return dubins_best_estimator(t, y, rho, v, ell)
 
     def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
         return boundary_points(t, n)
 
-    def path(self, t_star: float, y_target: PlanarPoint, ell: float) -> InterceptionPath:
-        return dubins_path(t_star, y_target, ell)
+    def path(
+        self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
+    ) -> InterceptionPath:
+        return dubins_path(t_star, y_target, ell, reach)
 
     def path_initial_heading(self, path: InterceptionPath) -> float:
         return HALF_PI

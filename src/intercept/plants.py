@@ -83,13 +83,22 @@ class PlantModel(abc.ABC):
     def contains(self, t: float, y: PlanarPoint) -> bool:
         """Whether y is reachable at exactly time t."""
 
-    def best_step(self, t: float, y: PlanarPoint, v: float, ell: float) -> float:
+    def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
+        """Closed-form estimator step from (t, y), given rho = distance(t, y) > ell."""
         raise NotImplementedError(f"{self.name} has no closed-form estimator step")
 
     def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
         raise NotImplementedError(f"{self.name} has no boundary sampler")
 
-    def path(self, t_star: float, y_target: PlanarPoint, ell: float) -> InterceptionPath:
+    def path(
+        self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
+    ) -> InterceptionPath:
+        """Duration-t_star path that ends at a reachable point near y_target.
+
+        The end is at most ``max(ell, distance(t_star, y_target))`` from
+        y_target. Raises ValueError unless y_target is within ``reach`` of the
+        time-t_star reachable set; ``solve`` passes its stopping distance.
+        """
         raise NotImplementedError(f"{self.name} has no path reconstruction")
 
     def path_initial_heading(self, path: InterceptionPath) -> float:
@@ -149,9 +158,14 @@ def simple_best_estimator(t: float, y: PlanarPoint, v: float, ell: float) -> flo
     return t
 
 
-def simple_path(t_star: float, y_target: PlanarPoint, ell: float) -> InterceptionPath:
-    """Straight run toward the target point, idling once within reach."""
-    if simple_distance(t_star, y_target) > ell + 1e-6:
+def simple_path(
+    t_star: float, y_target: PlanarPoint, ell: float, reach: float
+) -> InterceptionPath:
+    """Straight run toward the target point, idling once within ell of it.
+
+    The target must be within ``reach`` of the disk of radius t_star.
+    """
+    if simple_distance(t_star, y_target) > reach:
         raise ValueError("target point is not capturable at the requested time")
     r = y_target.norm()
     run = min(max(r - ell, 0.0), t_star)
@@ -179,7 +193,9 @@ class SimpleMotions(PlantModel):
     def contains(self, t: float, y: PlanarPoint) -> bool:
         return simple_contains(t, y)
 
-    def best_step(self, t: float, y: PlanarPoint, v: float, ell: float) -> float:
+    def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
+        # (|y| + v*t - ell)/(1 + v) reads |y| directly; the same step written
+        # through rho would round differently
         return simple_best_estimator(t, y, v, ell)
 
     def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
@@ -190,8 +206,10 @@ class SimpleMotions(PlantModel):
             for i in range(n)
         ]
 
-    def path(self, t_star: float, y_target: PlanarPoint, ell: float) -> InterceptionPath:
-        return simple_path(t_star, y_target, ell)
+    def path(
+        self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
+    ) -> InterceptionPath:
+        return simple_path(t_star, y_target, ell, reach)
 
     def path_initial_heading(self, path: InterceptionPath) -> float:
         if path.endpoint == ORIGIN:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory, Termination
 from .plants import InterceptionPath, PlantModel
@@ -40,10 +41,14 @@ class SolveResult:
 
 
 def simple_estimator(
-    plant: PlantModel, t: float, y: PlanarPoint, v: float, ell: float
+    plant: PlantModel, t: float, y: PlanarPoint, rho: float, v: float, ell: float
 ) -> float:
-    """Distance-closing step: plant and target approach at combined speed 1 + v."""
-    rho = plant.distance(t, y)
+    """Distance-closing step: plant and target approach at combined speed 1 + v.
+
+    ``rho`` is ``plant.distance(t, y)``, which the caller has already
+    evaluated. The signature matches ``best_estimator`` so either can drive
+    the same loop.
+    """
     if rho > ell:
         return t + (rho - ell) / (1.0 + v)
     return t
@@ -53,6 +58,7 @@ def best_estimator(
     plant: PlantModel,
     t: float,
     y: PlanarPoint,
+    rho: float,
     v: float,
     ell: float,
     *,
@@ -62,26 +68,28 @@ def best_estimator(
 ) -> float:
     """Largest step that cannot overshoot the capture time of any valid target.
 
+    ``rho`` is ``plant.distance(t, y)``, which the caller has already
+    evaluated; the closed-form steps use it instead of evaluating it again.
     Uses the plant's closed-form step when it has one; otherwise (or when
     ``force_iterative`` is set) finds the smallest s >= t with
     distance(s, y) = v*(s - t) + ell by the same safe-step iteration applied
     to the frozen point y against an inflating capture margin.
     """
-    rho = plant.distance(t, y)
     if rho < ell:
         raise ValueError("estimator requires the point to be at least ell away")
     if rho == ell:
         return t
     if plant.has_closed_form_best_estimator and not force_iterative:
-        return plant.best_step(t, y, v, ell)
+        return plant.best_step(t, y, rho, v, ell)
     s = t
+    gap = rho - ell
     for _ in range(max_inner):
-        gap = plant.distance(s, y) - v * (s - t) - ell
-        if gap <= 0.0:
-            return s
         step = gap / (1.0 + v)
         s += step
         if step <= inner_tol * (1.0 + s):
+            return s
+        gap = plant.distance(s, y) - v * (s - t) - ell
+        if gap <= 0.0:
             return s
     return s  # still a valid lower bound
 
@@ -110,12 +118,7 @@ def solve(
     ell = capture.ell
     threshold = ell * (1.0 + capture.epsilon) if ell > 0 else epsilon_abs
 
-    if estimator is EstimatorKind.SIMPLE:
-        def step_fn(t: float, y: PlanarPoint) -> float:
-            return simple_estimator(plant, t, y, v, ell)
-    else:
-        def step_fn(t: float, y: PlanarPoint) -> float:
-            return best_estimator(plant, t, y, v, ell)
+    step_fn = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
 
     t = 0.0
     y = trajectory.position(t)
@@ -127,7 +130,7 @@ def solve(
         if len(iterates) - 1 >= max_iterations:
             termination = Termination.MAX_ITERATIONS
             break
-        t_next = step_fn(t, y)
+        t_next = step_fn(plant, t, y, rho, v, ell)
         if t_next - t < 1e-15 * (1.0 + t_next):
             underflow_run += 1
         else:
@@ -153,10 +156,42 @@ def solve(
         status is SolveStatus.INTERCEPTED
         and reconstruct_path
         and plant.has_path_reconstruction
-        and rho <= ell + 1e-6
+        and rho <= threshold
     ):
-        path = plant.path(t, y, ell)
+        path = plant.path(t, y, ell, threshold)
     return SolveResult(status, t, trace, path)
+
+
+def refine_iterates(
+    plant: PlantModel,
+    trajectory: TargetTrajectory,
+    ell: float,
+    *,
+    step_tol: float = 1e-14,
+    max_iterations: int = 10_000_000,
+) -> Iterator[float]:
+    """Yield the iterate times t_0 = 0, t_1, ... of the best step until it underflows.
+
+    Replaces the relative stopping rule with a step-size tolerance of
+    ``step_tol * (1 + t)`` so the last time is accurate to near machine
+    precision for transversal approaches; it is the reference capture time.
+    """
+    v = trajectory.speed_bound
+    t = 0.0
+    yield t
+    for _ in range(max_iterations):
+        y = trajectory.position(t)
+        rho = plant.distance(t, y)
+        if rho <= ell:
+            return
+        t_next = best_estimator(plant, t, y, rho, v, ell)
+        yield t_next
+        if t_next - t <= step_tol * (1.0 + t_next):
+            return
+        t = t_next
+    raise ConvergenceError(
+        f"no convergence within {max_iterations} iterations (capture may be unreachable)"
+    )
 
 
 def refine_ground_truth(
@@ -167,25 +202,12 @@ def refine_ground_truth(
     step_tol: float = 1e-14,
     max_iterations: int = 10_000_000,
 ) -> float:
-    """Reference capture time: iterate the best step until it underflows.
-
-    Replaces the relative stopping rule with a step-size tolerance of
-    ``step_tol * (1 + t)`` so the returned time is accurate to near machine
-    precision for transversal approaches.
-    """
-    v = trajectory.speed_bound
-    t = 0.0
-    for _ in range(max_iterations):
-        y = trajectory.position(t)
-        if plant.distance(t, y) <= ell:
-            return t
-        t_next = best_estimator(plant, t, y, v, ell)
-        if t_next - t <= step_tol * (1.0 + t_next):
-            return t_next
-        t = t_next
-    raise ConvergenceError(
-        f"no convergence within {max_iterations} iterations (capture may be unreachable)"
-    )
+    """Reference capture time: the last time ``refine_iterates`` yields."""
+    for t in refine_iterates(
+        plant, trajectory, ell, step_tol=step_tol, max_iterations=max_iterations
+    ):
+        pass
+    return t
 
 
 def grid_oracle(

@@ -8,8 +8,6 @@ world-space values.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from .core import PlanarPoint, TargetTrajectory
 from .plants import PlantModel
 from .solver import SolveResult
@@ -55,6 +53,9 @@ def render_svg(
     boundary polylines otherwise), the reconstructed interception path, and a
     capture circle at the intercept whose radius is the achieved separation.
     """
+    # imported here so that `import intercept` does not load the XML package
+    import xml.etree.ElementTree as ET
+
     if result.path is None:
         raise ValueError("result carries no interception path to draw")
     t_star = result.t_star

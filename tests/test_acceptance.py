@@ -32,6 +32,7 @@ from intercept.solver import (
     best_estimator,
     grid_oracle,
     refine_ground_truth,
+    refine_iterates,
     simple_estimator,
     solve,
 )
@@ -212,11 +213,12 @@ def test_criterion_6_estimator_relations():
             p = PlanarPoint(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)))
             v = float(rng.uniform(0, 2))
             ell = float(rng.uniform(0, 0.5))
-            if plant.distance(t, p) < ell:
+            rho = plant.distance(t, p)
+            if rho < ell:
                 continue  # estimator precondition; redraw
             checked += 1
-            b = best_estimator(plant, t, p, v, ell)
-            s = simple_estimator(plant, t, p, v, ell)
+            b = best_estimator(plant, t, p, rho, v, ell)
+            s = simple_estimator(plant, t, p, rho, v, ell)
             assert b >= s - 1e-12
             dominance_checked += 1
             if plant_name == "simple":
@@ -242,10 +244,10 @@ def test_criterion_6_estimator_relations():
 
 def test_criterion_7_lissajous_caption_counts():
     traj = make_lissajous_trajectory(-1, -2, 1.0, math.sqrt(2.0), 1.0)
-    t_simple = refine_ground_truth(SIMPLE_MOTIONS, traj, CAPTURE_RADIUS)
-    n_simple = iteration_counts(SIMPLE_MOTIONS, traj, CAPTURE_RADIUS, t_simple, (1e-3,))[0]
-    t_dubins = refine_ground_truth(DUBINS_CAR, traj, CAPTURE_RADIUS)
-    n_dubins = iteration_counts(DUBINS_CAR, traj, CAPTURE_RADIUS, t_dubins, (1e-3,))[0]
+    simple_times = list(refine_iterates(SIMPLE_MOTIONS, traj, CAPTURE_RADIUS))
+    n_simple = iteration_counts(simple_times, simple_times[-1], (1e-3,))[0]
+    dubins_times = list(refine_iterates(DUBINS_CAR, traj, CAPTURE_RADIUS))
+    n_dubins = iteration_counts(dubins_times, dubins_times[-1], (1e-3,))[0]
     assert n_simple == 9
     assert n_dubins == 6
     print(

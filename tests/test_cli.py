@@ -88,6 +88,23 @@ def test_plot_writes_wellformed_svg(scenario_file, tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+def test_plot_capture_above_ell_exits_zero(scenario_file, tmp_path, capsys):
+    # the solve stops 5.4e-4 above ell, inside ell * (1 + epsilon)
+    doc = {
+        "plant": "dubins",
+        "trajectory": {"kind": "line", "xi": 0.0, "eta": 3.0, "phi": 0.0, "v": 0.5},
+        "capture": {"ell": 1.0, "epsilon": 1e-3},
+        "estimator": "best",
+        "horizon": 50.0,
+    }
+    path = scenario_file(doc)
+    assert main(["solve", path]) == 0
+    assert json.loads(capsys.readouterr().out)["path"] is not None
+    out = tmp_path / "plot.svg"
+    assert main(["plot", path, "--out", str(out)]) == 0
+    assert ET.parse(out).getroot().tag.endswith("svg")
+
+
 def test_oracle_agrees_with_solve(scenario_file, capsys):
     path = scenario_file(LINE_SIMPLE)
     main(["solve", path])

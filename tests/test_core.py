@@ -111,6 +111,32 @@ class TestPiecewiseLinearTrajectory:
         assert traj.speed_bound == 0.0
         assert traj.position(5.0) == PlanarPoint(2, 3)
 
+    def test_position_matches_linear_scan_bit_for_bit(self):
+        pts = [
+            (0.0, PlanarPoint(0.0, 0.0)),
+            (0.5, PlanarPoint(1.0, -2.0)),
+            (1.25, PlanarPoint(1.5, 0.25)),
+            (3.0, PlanarPoint(-1.0, 3.0)),
+        ]
+        traj = make_piecewise_linear_trajectory(pts)
+
+        def scan(t):
+            if t <= pts[0][0]:
+                return pts[0][1]
+            if t >= pts[-1][0]:
+                return pts[-1][1]
+            i = next(i for i, (ti, _) in enumerate(pts) if ti > t)
+            (t0, p0), (t1, p1) = pts[i - 1], pts[i]
+            w = (t - t0) / (t1 - t0)
+            return PlanarPoint(p0.x + w * (p1.x - p0.x), p0.y + w * (p1.y - p0.y))
+
+        before = [-1.0, -1e-300]
+        at = [t for t, _ in pts]
+        between = [1e-300, 0.1, 0.5 + 1e-12, 1.0, 1.25 - 1e-12, 2.9999999999999996]
+        after = [3.0 + 1e-12, 1e9]
+        for t in before + at + between + after:
+            assert traj.position(t) == scan(t), t
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             make_piecewise_linear_trajectory([])

@@ -237,27 +237,31 @@ class TestDistance:
 
 class TestBestEstimator:
     def test_cs_domain_step(self):
-        got = dubins_best_estimator(1.0, PlanarPoint(0, 3), 0.5, 0.1)
+        p = PlanarPoint(0, 3)
+        got = dubins_best_estimator(1.0, p, distance(1.0, p), 0.5, 0.1)
         assert got == pytest.approx(1 + (3 - 1 - 0.1) / 1.5, abs=1e-15)
 
     def test_stationary_straight_ahead(self):
-        assert dubins_best_estimator(0.0, PlanarPoint(0, 3), 0.0, 0.0) == 3.0
+        p = PlanarPoint(0, 3)
+        assert dubins_best_estimator(0.0, p, distance(0.0, p), 0.0, 0.0) == 3.0
 
     def test_d1_fallback_equals_generic_step(self):
         p = PlanarPoint(0.3, 0.2)
-        got = dubins_best_estimator(0.0, p, 0.5, 0.01)
         rho = distance(0.0, p)
+        got = dubins_best_estimator(0.0, p, rho, 0.5, 0.01)
         assert got == 0.0 + (rho - 0.01) / 1.5
 
     def test_precondition(self):
+        p = PlanarPoint(0, 3)
         with pytest.raises(ValueError):
-            dubins_best_estimator(3.0, PlanarPoint(0, 3), 0.5, 0.1)
+            dubins_best_estimator(3.0, p, distance(3.0, p), 0.5, 0.1)
 
     @given(times, points)
     @settings(max_examples=300, deadline=None)
     def test_closed_form_equals_distance_based_step_on_cs_domain(self, t, p):
         # where the turn+straight family is nearest, the distance is the
-        # remaining path length, so the two step formulas coincide exactly
+        # remaining path length, so the exact CS step v_cs - t - ell and the
+        # distance-based step are the same float expression
         if classify(p) is DubinsRegion.D_I:
             return
         if not (theta_cs(p) <= t):
@@ -267,9 +271,9 @@ class TestBestEstimator:
         rho = distance(t, p)
         if rho <= 0.1:
             return
-        closed = dubins_best_estimator(t, p, 0.5, 0.1)
-        generic = t + (rho - 0.1) / 1.5
-        assert abs(closed - generic) <= 1e-12
+        assert rho == v_cs(p) - t
+        closed = dubins_best_estimator(t, p, rho, 0.5, 0.1)
+        assert closed == t + (v_cs(p) - t - 0.1) / 1.5
 
 
 class TestBoundary:
@@ -312,7 +316,7 @@ class TestBoundary:
 
 class TestPath:
     def test_pure_straight(self):
-        path = dubins_path(2.0, PlanarPoint(0, 2), 0.0)
+        path = dubins_path(2.0, PlanarPoint(0, 2), 0.0, 1e-6)
         kinds = [(s.kind, s.direction) for s in path.segments]
         assert kinds == [("arc", "right"), ("straight", None)]
         assert path.segments[0].duration == 0.0
@@ -320,7 +324,7 @@ class TestPath:
         assert path.endpoint.distance_to(PlanarPoint(0, 2)) < 1e-12
 
     def test_half_circle(self):
-        path = dubins_path(math.pi, PlanarPoint(2, 0), 0.0)
+        path = dubins_path(math.pi, PlanarPoint(2, 0), 0.0, 1e-6)
         assert path.segments[0].kind == "arc"
         assert path.segments[0].direction == "right"
         assert path.segments[0].duration == pytest.approx(math.pi)
@@ -339,7 +343,7 @@ class TestPath:
             else:
                 lo = mid
         t_star = hi
-        path = dubins_path(t_star, target, 0.05)
+        path = dubins_path(t_star, target, 0.05, 0.05)
         kinds = [(s.kind, s.direction) for s in path.segments]
         assert kinds == [("arc", "left"), ("arc", "right")]
         assert path.total_duration == pytest.approx(t_star, abs=1e-9)
@@ -348,20 +352,20 @@ class TestPath:
         assert flattened[-1].distance_to(path.endpoint) < 1e-9
 
     def test_left_half_plane_is_mirrored(self):
-        path = dubins_path(math.pi, PlanarPoint(-2, 0), 0.0)
+        path = dubins_path(math.pi, PlanarPoint(-2, 0), 0.0, 1e-6)
         assert path.segments[0].direction == "left"
         assert path.endpoint.distance_to(PlanarPoint(-2, 0)) < 1e-12
 
     def test_flattening_matches_endpoint(self):
         for target, t in ((PlanarPoint(1.2, 2.0), 3.0), (PlanarPoint(-0.4, -1.0), 4.0)):
             rho = distance(t, target)
-            path = dubins_path(t, target, rho + 1e-9)
+            path = dubins_path(t, target, rho + 1e-9, rho + 1e-9)
             flattened = DUBINS_CAR.sample_path(path)
             assert flattened[-1].distance_to(path.endpoint) < 1e-9
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            dubins_path(0.5, PlanarPoint(0, 5), 0.1)
+            dubins_path(0.5, PlanarPoint(0, 5), 0.1, 0.1)
 
 
 class TestGeometryRecord:

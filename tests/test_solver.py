@@ -48,32 +48,35 @@ class HiddenStepPlant(PlantModel):
 
 class TestSimpleEstimator:
     def test_worked_example(self):
-        got = simple_estimator(SIMPLE_MOTIONS, 0.0, PlanarPoint(0, 1), 0.25, 0.1)
+        got = simple_estimator(SIMPLE_MOTIONS, 0.0, PlanarPoint(0, 1), 1.0, 0.25, 0.1)
         assert got == pytest.approx(0.72)
 
     def test_captured_branch_freezes(self):
-        assert simple_estimator(SIMPLE_MOTIONS, 5.0, PlanarPoint(0, 1), 0.25, 0.1) == 5.0
+        assert simple_estimator(SIMPLE_MOTIONS, 5.0, PlanarPoint(0, 1), 0.0, 0.25, 0.1) == 5.0
 
     def test_dubins_cs_example(self):
-        got = simple_estimator(DUBINS_CAR, 1.0, PlanarPoint(0, 3), 0.5, 0.1)
+        y = PlanarPoint(0, 3)
+        got = simple_estimator(DUBINS_CAR, 1.0, y, DUBINS_CAR.distance(1.0, y), 0.5, 0.1)
         assert got == pytest.approx(1 + (2 - 0.1) / 1.5, abs=1e-15)
 
     @given(times, points, speeds, radii)
     @settings(max_examples=200, deadline=None)
     def test_step_positive_when_uncaptured(self, t, y, v, ell):
         for plant in (SIMPLE_MOTIONS, DUBINS_CAR):
-            if plant.distance(t, y) > ell:
-                assert simple_estimator(plant, t, y, v, ell) > t
+            rho = plant.distance(t, y)
+            if rho > ell:
+                assert simple_estimator(plant, t, y, rho, v, ell) > t
 
 
 class TestBestEstimator:
     @given(times, points, speeds, radii)
     @settings(max_examples=200, deadline=None)
     def test_equals_simple_estimator_on_simple_motions(self, t, y, v, ell):
-        if SIMPLE_MOTIONS.distance(t, y) < ell:
+        rho = SIMPLE_MOTIONS.distance(t, y)
+        if rho < ell:
             return
-        a = best_estimator(SIMPLE_MOTIONS, t, y, v, ell)
-        b = simple_estimator(SIMPLE_MOTIONS, t, y, v, ell)
+        a = best_estimator(SIMPLE_MOTIONS, t, y, rho, v, ell)
+        b = simple_estimator(SIMPLE_MOTIONS, t, y, rho, v, ell)
         # same expression, different association: only ulp-level differences
         assert a == pytest.approx(b, abs=1e-12)
 
@@ -84,15 +87,16 @@ class TestBestEstimator:
             y = PlanarPoint(rng.uniform(-6, 6), rng.uniform(-6, 6))
             v = rng.uniform(0, 2)
             ell = rng.uniform(0, 0.3)
-            if SIMPLE_MOTIONS.distance(t, y) < ell:
+            rho = SIMPLE_MOTIONS.distance(t, y)
+            if rho < ell:
                 continue
-            closed = best_estimator(SIMPLE_MOTIONS, t, y, v, ell)
-            iterated = best_estimator(SIMPLE_MOTIONS, t, y, v, ell, force_iterative=True)
+            closed = best_estimator(SIMPLE_MOTIONS, t, y, rho, v, ell)
+            iterated = best_estimator(SIMPLE_MOTIONS, t, y, rho, v, ell, force_iterative=True)
             assert iterated == pytest.approx(closed, abs=1e-10)
 
     def test_capability_fallback_uses_iteration(self):
         plant = HiddenStepPlant()
-        got = best_estimator(plant, 0.0, PlanarPoint(0, 1), 0.25, 0.1)
+        got = best_estimator(plant, 0.0, PlanarPoint(0, 1), 1.0, 0.25, 0.1)
         assert got == pytest.approx(0.72, abs=1e-10)
 
     def test_iterative_dominates_distance_step_on_dubins(self):
@@ -103,19 +107,20 @@ class TestBestEstimator:
             y = PlanarPoint(rng.uniform(-6, 6), rng.uniform(-6, 6))
             v = rng.uniform(0, 1.5)
             ell = 0.1
-            if DUBINS_CAR.distance(t, y) <= ell:
+            rho = DUBINS_CAR.distance(t, y)
+            if rho <= ell:
                 continue
-            true_best = best_estimator(DUBINS_CAR, t, y, v, ell, force_iterative=True)
-            step = best_estimator(DUBINS_CAR, t, y, v, ell)
+            true_best = best_estimator(DUBINS_CAR, t, y, rho, v, ell, force_iterative=True)
+            step = best_estimator(DUBINS_CAR, t, y, rho, v, ell)
             assert true_best >= step - 1e-12
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            best_estimator(SIMPLE_MOTIONS, 5.0, PlanarPoint(0, 1), 0.25, 0.1)
+            best_estimator(SIMPLE_MOTIONS, 5.0, PlanarPoint(0, 1), 0.0, 0.25, 0.1)
 
     def test_at_exact_capture_distance_freezes(self):
         # distance(1.5, (0, 2)) = 0.5 exactly in floats
-        assert best_estimator(SIMPLE_MOTIONS, 1.5, PlanarPoint(0, 2), 0.25, 0.5) == 1.5
+        assert best_estimator(SIMPLE_MOTIONS, 1.5, PlanarPoint(0, 2), 0.5, 0.25, 0.5) == 1.5
 
 
 class TestSolve:
@@ -184,6 +189,20 @@ class TestSolve:
         assert result.t_star == 0.0
         assert result.trace.iteration_count == 0
         assert result.path is not None
+
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    def test_capture_between_ell_and_stopping_distance_has_a_path(self, plant):
+        # ell * epsilon = 1e-3: the last distance lands above ell + 1e-6 but
+        # below the stopping distance ell * (1 + epsilon)
+        traj = make_line_trajectory(0, 3, 0, 0.5)
+        result = solve(plant, traj, CaptureSpec(1.0, 1e-3))
+        assert result.status is SolveStatus.INTERCEPTED
+        assert 1.0 + 1e-6 < result.trace.final_distance <= 1.0 * (1 + 1e-3)
+        assert result.path is not None
+        assert result.path.total_duration == pytest.approx(result.t_star, abs=1e-12)
+        assert plant.distance(result.t_star, result.path.endpoint) <= 1e-9
+        gap = traj.position(result.t_star).distance_to(result.path.endpoint)
+        assert gap <= 1.0 * (1 + 1e-3)
 
     @given(st.sampled_from(["simple", "dubins"]), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import intercept
 from intercept.core import CaptureSpec, make_line_trajectory, make_lissajous_trajectory
 from intercept.dubins import DUBINS_CAR
 from intercept.plants import SIMPLE_MOTIONS
@@ -15,6 +20,21 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 def _solve_line(plant):
     traj = make_line_trajectory(0, 1, 0, 0.25)
     return traj, solve(plant, traj, CaptureSpec(0.1, 1e-6))
+
+
+def test_import_does_not_load_elementtree():
+    # render_svg imports ElementTree itself, so library users who never
+    # plot do not pay for loading it
+    src = pathlib.Path(intercept.__file__).resolve().parent.parent
+    code = "import sys, intercept; print('xml.etree.ElementTree' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_declaration_and_single_root():
