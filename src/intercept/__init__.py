@@ -11,7 +11,6 @@ from .core import (
     PlanarPoint,
     SolveTrace,
     TargetTrajectory,
-    Termination,
     make_custom_trajectory,
     make_line_trajectory,
     make_lissajous_trajectory,
@@ -25,7 +24,7 @@ from .plants import (
     SimpleMotions,
     get_plant,
 )
-from .dubins import DUBINS_CAR, DubinsCar, DubinsGeometry, DubinsRegion
+from .dubins import DUBINS_CAR, DubinsCar, DubinsRegion
 from .solver import (
     ConvergenceError,
     EstimatorKind,
@@ -54,7 +53,6 @@ __all__ = [
     "ConvergenceError",
     "DUBINS_CAR",
     "DubinsCar",
-    "DubinsGeometry",
     "DubinsRegion",
     "EstimatorKind",
     "InterceptionPath",
@@ -69,7 +67,6 @@ __all__ = [
     "SolveStatus",
     "SolveTrace",
     "TargetTrajectory",
-    "Termination",
     "best_estimator",
     "emit_result",
     "emit_scenario",

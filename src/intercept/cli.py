@@ -7,6 +7,7 @@ interception (budget exhausted / unreachable) or an oracle finds no crossing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .core import LISSAJOUS, CaptureSpec
@@ -58,29 +59,13 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     scenario = parse_scenario(text)
     if args.estimator:
-        scenario = Scenario(
-            scenario.plant,
-            scenario.trajectory,
-            scenario.capture,
-            EstimatorKind(args.estimator),
-            scenario.horizon,
-        )
+        scenario = dataclasses.replace(scenario, estimator=EstimatorKind(args.estimator))
     if args.epsilon is not None:
-        scenario = Scenario(
-            scenario.plant,
-            scenario.trajectory,
-            CaptureSpec(scenario.capture.ell, args.epsilon),
-            scenario.estimator,
-            scenario.horizon,
+        scenario = dataclasses.replace(
+            scenario, capture=CaptureSpec(scenario.capture.ell, args.epsilon)
         )
-    if getattr(args, "horizon", None) is not None:
-        scenario = Scenario(
-            scenario.plant,
-            scenario.trajectory,
-            scenario.capture,
-            scenario.estimator,
-            args.horizon,
-        )
+    if args.horizon is not None:
+        scenario = dataclasses.replace(scenario, horizon=args.horizon)
     if scenario.trajectory.kind == LISSAJOUS and "speed_bound" not in scenario.trajectory.params:
         print(
             "note: lissajous speed bound defaults to the parameter v; the curve's "

@@ -7,7 +7,6 @@ so every trajectory kind below is interchangeable from its point of view.
 
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -185,20 +184,11 @@ def make_custom_trajectory(
     return TargetTrajectory(kind=CUSTOM, speed_bound=float(speed_bound), custom_fn=position)
 
 
-class Termination(enum.Enum):
-    """Why the fixed-point loop stopped."""
-
-    CAPTURED = "captured"
-    MAX_ITERATIONS = "max_iterations"
-    STEP_UNDERFLOW = "step_underflow"
-
-
 @dataclass(frozen=True)
 class SolveTrace:
     """The iterate sequence of one solve: pairs (t_n, distance at t_n)."""
 
     iterates: tuple[tuple[float, float], ...]
-    termination: Termination
 
     @property
     def iteration_count(self) -> int:

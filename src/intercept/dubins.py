@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .core import PlanarPoint
 from .plants import (
@@ -100,10 +99,11 @@ def theta_cs(y: PlanarPoint) -> float:
 
 
 def v_cs(y: PlanarPoint) -> float:
-    """Length of the shortest CS path to y (arc angle plus tangent length)."""
-    region = classify(y)
-    if region is DubinsRegion.D_I and not (y.x == 0.0 and y.y == 0.0):
-        raise ValueError("CS path length undefined on D_I away from the origin")
+    """Length of the shortest CS path to y (arc angle plus tangent length).
+
+    Defined everywhere except inside the open turning disks (D_I away from
+    the origin), where ``theta_cs`` raises.
+    """
     return theta_cs(y) + math.sqrt(alpha_cs(y))
 
 
@@ -117,13 +117,13 @@ def _theta_cc_pair(y: PlanarPoint) -> tuple[float, float]:
     return plus, minus
 
 
-def v_cc(y: PlanarPoint) -> tuple[float | None, float | None]:
-    """Lengths of the two CC paths to y, where their regions admit them.
+def v_cc(y: PlanarPoint, region: DubinsRegion) -> tuple[float | None, float | None]:
+    """Lengths of the two CC paths to y, where its region admits them.
 
-    Returns (plus, minus); the plus branch exists only on D_III, the minus
-    branch on D_I and D_III, and neither on D_II.
+    ``region`` is ``classify(y)``. Returns (plus, minus); the plus branch
+    exists only on D_III, the minus branch on D_I and D_III, and neither on
+    D_II.
     """
-    region = classify(y)
     if region is DubinsRegion.D_II:
         return None, None
     a = alpha_cc(y)
@@ -134,47 +134,19 @@ def v_cc(y: PlanarPoint) -> tuple[float | None, float | None]:
     return plus, minus
 
 
-@dataclass(frozen=True)
-class DubinsGeometry:
-    """All region and path-length quantities for one query point."""
-
-    abs_x: float
-    alpha_cs: float
-    alpha_cc: float
-    region: DubinsRegion
-    theta_cs: float | None
-    theta_cc_plus: float | None
-    theta_cc_minus: float | None
-    v_cs: float | None
-    v_cc_plus: float | None
-    v_cc_minus: float | None
-
-
-def geometry(y: PlanarPoint) -> DubinsGeometry:
-    """Evaluate every CS/CC quantity defined at y; undefined ones are None."""
-    region = classify(y)
-    a_cs = alpha_cs(y)
-    a_cc = alpha_cc(y)
-    at_origin = y.x == 0.0 and y.y == 0.0
-    th_cs = theta_cs(y) if a_cs >= 0.0 else None
-    if -1.0 <= a_cc <= 1.0 + _ACOS_SLACK:
-        th_plus, th_minus = _theta_cc_pair(y)
-    else:
-        th_plus = th_minus = None
-    length_cs = v_cs(y) if region is not DubinsRegion.D_I or at_origin else None
-    cc_plus, cc_minus = v_cc(y)
-    return DubinsGeometry(
-        abs_x=abs(y.x),
-        alpha_cs=a_cs,
-        alpha_cc=a_cc,
-        region=region,
-        theta_cs=th_cs,
-        theta_cc_plus=th_plus,
-        theta_cc_minus=th_minus,
-        v_cs=length_cs,
-        v_cc_plus=cc_plus,
-        v_cc_minus=cc_minus,
-    )
+def _contains(
+    t: float, y: PlanarPoint, region: DubinsRegion, length_cs: float | None
+) -> bool:
+    """``contains(t, y)`` given ``region = classify(y)`` and, off D_I, ``v_cs(y)``."""
+    if region is DubinsRegion.D_II:
+        return t >= length_cs
+    if region is DubinsRegion.D_I:
+        return t >= v_cc(y, region)[1] or (t == 0.0 and y.x == 0.0 and y.y == 0.0)
+    # D_III: the CS length must be met, and the CC window must not exclude t
+    if t < length_cs:
+        return False
+    plus, minus = v_cc(y, region)
+    return t >= minus or plus >= t
 
 
 def contains(t: float, y: PlanarPoint) -> bool:
@@ -182,18 +154,8 @@ def contains(t: float, y: PlanarPoint) -> bool:
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     region = classify(y)
-    if region is DubinsRegion.D_II:
-        return t >= v_cs(y)
-    if region is DubinsRegion.D_I:
-        _, minus = v_cc(y)
-        if t >= minus:
-            return True
-        return t == 0.0 and y.x == 0.0 and y.y == 0.0
-    # D_III: the CS length must be met, and the CC window must not exclude t
-    if t < v_cs(y):
-        return False
-    plus, minus = v_cc(y)
-    return t >= minus or plus >= t
+    length_cs = None if region is DubinsRegion.D_I else v_cs(y)
+    return _contains(t, y, region, length_cs)
 
 
 # --- boundary parameterizations ---------------------------------------------
@@ -321,17 +283,25 @@ def _cc_nearest(t: float, y: PlanarPoint) -> tuple[float, PlanarPoint, float]:
 
 
 def distance(t: float, y: PlanarPoint) -> float:
-    """Euclidean distance from y to the positions the car can reach at time t."""
+    """Euclidean distance from y to the positions the car can reach at time t.
+
+    One case analysis: the region, then (off D_I) the CS angle and length
+    decide containment and whether the nearest boundary point lies on the
+    CS family; otherwise it lies on the CC family.
+    """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if contains(t, y):
-        return 0.0
     region = classify(y)
-    if region is not DubinsRegion.D_I:
-        if theta_cs(y) <= t and (
-            region is DubinsRegion.D_II or v_cs(y) >= t
-        ):
-            return v_cs(y) - t
+    if region is DubinsRegion.D_I:
+        if _contains(t, y, region, None):
+            return 0.0
+        return _cc_nearest(t, y)[2]
+    theta = theta_cs(y)
+    length = theta + math.sqrt(alpha_cs(y))  # v_cs(y) without a second theta_cs
+    if _contains(t, y, region, length):
+        return 0.0
+    if theta <= t and (region is DubinsRegion.D_II or length >= t):
+        return length - t
     return _cc_nearest(t, y)[2]
 
 
@@ -412,9 +382,6 @@ class DubinsCar(PlantModel):
     """Unit-speed car with unit minimum turning radius, initially heading +y."""
 
     name = "dubins"
-    has_closed_form_best_estimator = True
-    has_boundary_sampler = True
-    has_path_reconstruction = True
 
     def distance(self, t: float, y: PlanarPoint) -> float:
         return distance(t, y)

@@ -1,9 +1,9 @@
 """Plant models: the reachable-set distance contract and simple motions.
 
 A plant is represented purely by the distance from a query point to its
-time-t reachable positions, plus a few optional geometric services
-(closed-form estimator step, boundary sampling, path reconstruction).
-Both built-in plants move with unit maximum speed.
+time-t reachable positions and a membership test; it may override the
+estimator step, boundary sampling and path reconstruction. Both built-in
+plants move with unit maximum speed.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class PlantModel(abc.ABC):
     """
 
     name: str = "plant"
-    has_closed_form_best_estimator: bool = False
-    has_boundary_sampler: bool = False
-    has_path_reconstruction: bool = False
 
     @abc.abstractmethod
     def distance(self, t: float, y: PlanarPoint) -> float:
@@ -84,8 +81,24 @@ class PlantModel(abc.ABC):
         """Whether y is reachable at exactly time t."""
 
     def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
-        """Closed-form estimator step from (t, y), given rho = distance(t, y) > ell."""
-        raise NotImplementedError(f"{self.name} has no closed-form estimator step")
+        """Largest safe estimator step from (t, y), given rho = distance(t, y) >= ell.
+
+        Finds the smallest s >= t with distance(s, y) = v*(s - t) + ell by the
+        safe-step iteration applied to the frozen point y against an
+        inflating capture margin, until the inner step drops below
+        1e-15*(1 + s). Plants with a closed form override this.
+        """
+        s = t
+        gap = rho - ell
+        for _ in range(1_000_000):
+            step = gap / (1.0 + v)
+            s += step
+            if step <= 1e-15 * (1.0 + s):
+                return s
+            gap = self.distance(s, y) - v * (s - t) - ell
+            if gap <= 0.0:
+                return s
+        return s  # still a valid lower bound
 
     def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
         raise NotImplementedError(f"{self.name} has no boundary sampler")
@@ -183,9 +196,6 @@ class SimpleMotions(PlantModel):
     """Plant that can move one unit of distance per unit time in any direction."""
 
     name = "simple"
-    has_closed_form_best_estimator = True
-    has_boundary_sampler = True
-    has_path_reconstruction = True
 
     def distance(self, t: float, y: PlanarPoint) -> float:
         return simple_distance(t, y)

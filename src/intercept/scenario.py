@@ -21,7 +21,6 @@ from .core import (
     PlanarPoint,
     SolveTrace,
     TargetTrajectory,
-    Termination,
     make_line_trajectory,
     make_lissajous_trajectory,
     make_piecewise_linear_trajectory,
@@ -236,7 +235,6 @@ def emit_result(result: SolveResult) -> str:
         "status": result.status.value,
         "t_star": result.t_star,
         "iterations": result.trace.iteration_count,
-        "termination": result.trace.termination.value,
         "trace": [[t, rho] for t, rho in result.trace.iterates],
     }
     if result.path is None:
@@ -256,12 +254,9 @@ def emit_result(result: SolveResult) -> str:
 
 
 def parse_result(text: str) -> SolveResult:
-    """Inverse of ``emit_result`` (used for round-trip checks and tooling)."""
+    """Inverse of ``emit_result``; ignores the ``termination`` key of older documents."""
     doc = json.loads(text)
-    trace = SolveTrace(
-        tuple((t, rho) for t, rho in doc["trace"]),
-        Termination(doc["termination"]),
-    )
+    trace = SolveTrace(tuple((t, rho) for t, rho in doc["trace"]))
     path = None
     if doc["path"] is not None:
         segments = tuple(

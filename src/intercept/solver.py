@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory, Termination
+from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory
 from .plants import InterceptionPath, PlantModel
 
 
@@ -27,9 +27,15 @@ class EstimatorKind(enum.Enum):
 
 
 class SolveStatus(enum.Enum):
+    """Why the fixed-point loop stopped."""
+
     INTERCEPTED = "intercepted"
     UNREACHABLE = "unreachable"
     BUDGET = "budget"
+
+
+# stopping distance when ell = 0, where the relative threshold degenerates
+EPSILON_ABS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,43 +61,19 @@ def simple_estimator(
 
 
 def best_estimator(
-    plant: PlantModel,
-    t: float,
-    y: PlanarPoint,
-    rho: float,
-    v: float,
-    ell: float,
-    *,
-    force_iterative: bool = False,
-    inner_tol: float = 1e-15,
-    max_inner: int = 1_000_000,
+    plant: PlantModel, t: float, y: PlanarPoint, rho: float, v: float, ell: float
 ) -> float:
     """Largest step that cannot overshoot the capture time of any valid target.
 
     ``rho`` is ``plant.distance(t, y)``, which the caller has already
-    evaluated; the closed-form steps use it instead of evaluating it again.
-    Uses the plant's closed-form step when it has one; otherwise (or when
-    ``force_iterative`` is set) finds the smallest s >= t with
-    distance(s, y) = v*(s - t) + ell by the same safe-step iteration applied
-    to the frozen point y against an inflating capture margin.
+    evaluated. The step is ``plant.best_step``: a closed form on both
+    built-in plants, the generic iterative search of ``PlantModel`` otherwise.
     """
     if rho < ell:
         raise ValueError("estimator requires the point to be at least ell away")
     if rho == ell:
         return t
-    if plant.has_closed_form_best_estimator and not force_iterative:
-        return plant.best_step(t, y, rho, v, ell)
-    s = t
-    gap = rho - ell
-    for _ in range(max_inner):
-        step = gap / (1.0 + v)
-        s += step
-        if step <= inner_tol * (1.0 + s):
-            return s
-        gap = plant.distance(s, y) - v * (s - t) - ell
-        if gap <= 0.0:
-            return s
-    return s  # still a valid lower bound
+    return plant.best_step(t, y, rho, v, ell)
 
 
 def solve(
@@ -100,9 +82,6 @@ def solve(
     capture: CaptureSpec,
     estimator: EstimatorKind = EstimatorKind.BEST,
     max_iterations: int = 10_000,
-    *,
-    epsilon_abs: float = 1e-9,
-    reconstruct_path: bool = True,
 ) -> SolveResult:
     """Iterate the chosen estimator from t = 0 until the target is captured.
 
@@ -110,13 +89,15 @@ def solve(
     (status ``BUDGET``), or when the step stays below 1e-15*(1 + t) for ten
     consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
     infinite capture time cannot be certified in finite time). For ell = 0
-    the relative threshold degenerates, so ``epsilon_abs`` is used instead.
+    the relative threshold degenerates, so ``EPSILON_ABS`` is used instead.
+    An intercepted result carries the plant's path, or None if the plant
+    does not reconstruct paths.
     """
     v = trajectory.speed_bound
     if not math.isfinite(v):
         raise ValueError("trajectory speed bound must be finite")
     ell = capture.ell
-    threshold = ell * (1.0 + capture.epsilon) if ell > 0 else epsilon_abs
+    threshold = ell * (1.0 + capture.epsilon) if ell > 0 else EPSILON_ABS
 
     step_fn = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
 
@@ -125,10 +106,10 @@ def solve(
     rho = plant.distance(t, y)
     iterates = [(t, rho)]
     underflow_run = 0
-    termination = Termination.CAPTURED
+    status = SolveStatus.INTERCEPTED
     while rho > threshold:
         if len(iterates) - 1 >= max_iterations:
-            termination = Termination.MAX_ITERATIONS
+            status = SolveStatus.BUDGET
             break
         t_next = step_fn(plant, t, y, rho, v, ell)
         if t_next - t < 1e-15 * (1.0 + t_next):
@@ -140,26 +121,17 @@ def solve(
         rho = plant.distance(t, y)
         iterates.append((t, rho))
         if underflow_run >= 10:
-            termination = Termination.STEP_UNDERFLOW
+            status = SolveStatus.UNREACHABLE
             break
 
-    trace = SolveTrace(tuple(iterates), termination)
-    if termination is Termination.CAPTURED:
-        status = SolveStatus.INTERCEPTED
-    elif termination is Termination.MAX_ITERATIONS:
-        status = SolveStatus.BUDGET
-    else:
-        status = SolveStatus.UNREACHABLE
-
     path = None
-    if (
-        status is SolveStatus.INTERCEPTED
-        and reconstruct_path
-        and plant.has_path_reconstruction
-        and rho <= threshold
-    ):
-        path = plant.path(t, y, ell, threshold)
-    return SolveResult(status, t, trace, path)
+    # a NaN distance also ends the loop as INTERCEPTED; it gets no path
+    if status is SolveStatus.INTERCEPTED and rho <= threshold:
+        try:
+            path = plant.path(t, y, ell, threshold)
+        except NotImplementedError:
+            pass
+    return SolveResult(status, t, SolveTrace(tuple(iterates)), path)
 
 
 def refine_iterates(
@@ -167,13 +139,12 @@ def refine_iterates(
     trajectory: TargetTrajectory,
     ell: float,
     *,
-    step_tol: float = 1e-14,
     max_iterations: int = 10_000_000,
 ) -> Iterator[float]:
     """Yield the iterate times t_0 = 0, t_1, ... of the best step until it underflows.
 
     Replaces the relative stopping rule with a step-size tolerance of
-    ``step_tol * (1 + t)`` so the last time is accurate to near machine
+    ``1e-14 * (1 + t)`` so the last time is accurate to near machine
     precision for transversal approaches; it is the reference capture time.
     """
     v = trajectory.speed_bound
@@ -186,7 +157,7 @@ def refine_iterates(
             return
         t_next = best_estimator(plant, t, y, rho, v, ell)
         yield t_next
-        if t_next - t <= step_tol * (1.0 + t_next):
+        if t_next - t <= 1e-14 * (1.0 + t_next):
             return
         t = t_next
     raise ConvergenceError(
@@ -199,13 +170,10 @@ def refine_ground_truth(
     trajectory: TargetTrajectory,
     ell: float,
     *,
-    step_tol: float = 1e-14,
     max_iterations: int = 10_000_000,
 ) -> float:
     """Reference capture time: the last time ``refine_iterates`` yields."""
-    for t in refine_iterates(
-        plant, trajectory, ell, step_tol=step_tol, max_iterations=max_iterations
-    ):
+    for t in refine_iterates(plant, trajectory, ell, max_iterations=max_iterations):
         pass
     return t
 

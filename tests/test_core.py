@@ -7,7 +7,6 @@ from intercept.core import (
     CaptureSpec,
     PlanarPoint,
     SolveTrace,
-    Termination,
     make_custom_trajectory,
     make_line_trajectory,
     make_lissajous_trajectory,
@@ -203,7 +202,7 @@ def test_custom_trajectory():
 
 
 def test_solve_trace_accessors():
-    trace = SolveTrace(((0.0, 1.0), (0.9, 0.1)), Termination.CAPTURED)
+    trace = SolveTrace(((0.0, 1.0), (0.9, 0.1)))
     assert trace.iteration_count == 1
     assert trace.final_time == 0.9
     assert trace.final_distance == 0.1

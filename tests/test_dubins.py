@@ -9,6 +9,7 @@ from intercept.core import PlanarPoint
 from intercept.dubins import (
     DUBINS_CAR,
     DubinsRegion,
+    alpha_cs,
     boundary_points,
     cc_cubic_roots,
     classify,
@@ -16,7 +17,6 @@ from intercept.dubins import (
     distance,
     dubins_best_estimator,
     dubins_path,
-    geometry,
     theta_cs,
     v_cc,
     v_cs,
@@ -84,23 +84,23 @@ class TestVCS:
 
 class TestVCC:
     def test_origin_full_circle(self):
-        plus, minus = v_cc(PlanarPoint(0, 0))
+        plus, minus = v_cc(PlanarPoint(0, 0), DubinsRegion.D_I)
         assert plus is None
         assert minus == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_d1_point_has_only_minus(self):
-        plus, minus = v_cc(PlanarPoint(0.5, 0.1))
+        plus, minus = v_cc(PlanarPoint(0.5, 0.1), DubinsRegion.D_I)
         assert plus is None
         assert minus is not None and minus > 0
 
     def test_d2_has_neither(self):
-        assert v_cc(PlanarPoint(0, 3)) == (None, None)
+        assert v_cc(PlanarPoint(0, 3), DubinsRegion.D_II) == (None, None)
 
     def test_minus_matches_first_passage_of_turn_turn_curve(self):
         # the first time a D_I point becomes reachable, a left-right path of
         # that exact duration must pass through it
         p = PlanarPoint(0.5, 0.1)
-        _, minus = v_cc(p)
+        _, minus = v_cc(p, classify(p))
         taus = np.linspace(0.0, math.pi / 2, 4001)
         found = None
         for t in np.arange(0.005, 8.0, 0.005):
@@ -369,21 +369,29 @@ class TestPath:
 
 
 class TestGeometryRecord:
+    """Invariants of the per-point closed forms: region, CS and CC lengths."""
+
     @given(points)
     @settings(max_examples=300)
     def test_record_invariants(self, p):
-        geo = geometry(p)
-        assert geo.abs_x == abs(p.x)
-        assert geo.alpha_cs == pytest.approx((1 - abs(p.x)) ** 2 + p.y**2 - 1, abs=1e-12)
-        if geo.v_cs is not None and geo.theta_cs is not None:
-            assert geo.v_cs >= geo.theta_cs - 1e-12
-        if geo.v_cc_plus is not None:
-            assert geo.v_cc_plus >= 0
-            assert geo.region is DubinsRegion.D_III
-        if geo.v_cc_minus is not None:
-            assert geo.v_cc_minus >= 0
-            assert geo.region in (DubinsRegion.D_I, DubinsRegion.D_III)
+        region = classify(p)
+        assert alpha_cs(p) == pytest.approx((1 - abs(p.x)) ** 2 + p.y**2 - 1, abs=1e-12)
+        at_origin = p.x == 0.0 and p.y == 0.0
+        if region is not DubinsRegion.D_I or at_origin:
+            assert v_cs(p) >= theta_cs(p) - 1e-12
+        else:
+            with pytest.raises(ValueError):
+                v_cs(p)
+        plus, minus = v_cc(p, region)
+        if plus is not None:
+            assert plus >= 0
+            assert region is DubinsRegion.D_III
+        if minus is not None:
+            assert minus >= 0
+            assert region in (DubinsRegion.D_I, DubinsRegion.D_III)
+        else:
+            assert region is DubinsRegion.D_II
 
     def test_plus_absent_off_lune(self):
-        assert geometry(PlanarPoint(0, 3)).v_cc_plus is None
-        assert geometry(PlanarPoint(0.5, 0.1)).v_cc_plus is None
+        for p in (PlanarPoint(0, 3), PlanarPoint(0.5, 0.1)):
+            assert v_cc(p, classify(p))[0] is None

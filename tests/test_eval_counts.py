@@ -1,8 +1,9 @@
 """Distance evaluations per solve on the shipped scenarios.
 
 One solve should cost one distance evaluation per iterate, plus the one
-that guards path reconstruction. The counts are deterministic, so these
-tests stop a refactor from silently re-evaluating the distance.
+that guards path reconstruction, and one Dubins distance should classify
+its query once. The counts are deterministic, so these tests stop a
+refactor from silently re-evaluating the distance or its case analysis.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import pathlib
 import pytest
 
 from intercept import dubins, get_plant, parse_scenario, plants, solve
+from intercept.benchmarks import run_table
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -52,3 +54,18 @@ def test_shipped_scenarios_evaluate_at_most_iterations_plus_two(distance_calls, 
     plant_name, result = _solve(name)
     assert distance_calls[plant_name] <= result.trace.iteration_count + 2
     assert sum(distance_calls.values()) == distance_calls[plant_name]
+
+
+def test_table_classifies_each_dubins_query_once(distance_calls, monkeypatch):
+    classify_calls = 0
+    original = dubins.classify
+
+    def counting(y):
+        nonlocal classify_calls
+        classify_calls += 1
+        return original(y)
+
+    monkeypatch.setattr(dubins, "classify", counting)
+    run_table()
+    assert distance_calls["dubins"] == 1362
+    assert classify_calls <= distance_calls["dubins"]

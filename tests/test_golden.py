@@ -3,18 +3,22 @@
 ``golden.json`` holds, as ``float.hex`` strings, the reference capture time
 and the three iteration counts of each of the 56 table cells, and the full
 iterate sequence (t_n, distance at t_n) of every file in ``scenarios/``.
-Any change to the solver, the estimators or the distance functions that
+It also holds the Dubins distance (as ``float.hex``) and the Dubins
+``contains`` answer at about 2,000 seeded queries plus boundary samples,
+where ``contains`` and ``distance == 0`` can disagree by rounding. Any change to the solver, the estimators or the distance functions that
 moves one of these by a single ulp fails here.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
+import random
 
 import pytest
 
-from intercept import get_plant, parse_scenario, solve
+from intercept import PlanarPoint, dubins, get_plant, parse_scenario, solve
 from intercept.benchmarks import run_table
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -45,3 +49,29 @@ def test_scenario_trace_is_bit_identical(name):
 
 def test_every_shipped_scenario_has_a_golden_trace():
     assert sorted(p.name for p in SCENARIOS.glob("*.json")) == sorted(GOLDEN["scenarios"])
+
+
+def dubins_queries() -> list[tuple[float, PlanarPoint]]:
+    """Seeded (t, point) queries over all three regions, plus boundary samples."""
+    rng = random.Random(4)
+    queries = []
+    for i in range(2000):
+        scale = 5.0 if i % 2 else 2.5
+        point = PlanarPoint(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+        queries.append((rng.uniform(0.0, 9.0), point))
+    for t in (0.5, 1.0, 2.0, 3.0, math.pi, 4.0, 5.5, 7.0):
+        queries.extend((t, p) for p in dubins.boundary_points(t, 9))
+    for x, y in ((0.0, 0.0), (0.0, 3.0), (2.0, 0.0), (-2.0, 0.0), (0.0, -1.0), (1.0, 1.0)):
+        for t in (0.0, 1.0, math.pi, 6.0):
+            queries.append((t, PlanarPoint(x, y)))
+    return queries
+
+
+def test_dubins_distance_is_bit_identical():
+    got = [dubins.distance(t, p).hex() for t, p in dubins_queries()]
+    assert got == GOLDEN["dubins"]["distance"]
+
+
+def test_dubins_contains_is_unchanged():
+    got = [int(dubins.contains(t, p)) for t, p in dubins_queries()]
+    assert got == GOLDEN["dubins"]["contains"]

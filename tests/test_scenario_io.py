@@ -181,3 +181,12 @@ class TestEmitResult:
         assert back.t_star == result.t_star
         assert back.status is SolveStatus.INTERCEPTED
         assert back.path == result.path
+
+    def test_no_termination_key_and_older_documents_still_parse(self):
+        traj = make_line_trajectory(0, 1, 0, 0.25)
+        result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))
+        doc = json.loads(emit_result(result))
+        assert "termination" not in doc
+        # results written before the key was dropped carried it next to status
+        doc["termination"] = "captured"
+        assert parse_result(json.dumps(doc)) == result

@@ -122,12 +122,6 @@ def test_registry():
         get_plant("rocket")
 
 
-def test_capabilities():
-    assert SIMPLE_MOTIONS.has_closed_form_best_estimator
-    assert SIMPLE_MOTIONS.has_boundary_sampler
-    assert SIMPLE_MOTIONS.has_path_reconstruction
-
-
 def test_boundary_points_lie_on_circle():
     pts = SIMPLE_MOTIONS.boundary_points(2.5, 64)
     assert len(pts) == 64
