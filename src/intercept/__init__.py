@@ -8,6 +8,10 @@ point) and the Dubins car (unit speed, unit minimum turning radius).
 
 from .core import (
     CaptureSpec,
+    CustomTrajectory,
+    LineTrajectory,
+    LissajousTrajectory,
+    PiecewiseLinearTrajectory,
     PlanarPoint,
     SolveTrace,
     TargetTrajectory,
@@ -51,12 +55,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CaptureSpec",
     "ConvergenceError",
+    "CustomTrajectory",
     "DUBINS_CAR",
     "DubinsCar",
     "DubinsRegion",
     "EstimatorKind",
     "InterceptionPath",
+    "LineTrajectory",
+    "LissajousTrajectory",
     "PathSegment",
+    "PiecewiseLinearTrajectory",
     "PlanarPoint",
     "PlantModel",
     "SIMPLE_MOTIONS",

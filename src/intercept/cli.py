@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from .core import LISSAJOUS, CaptureSpec
+from .core import CaptureSpec, LissajousTrajectory
 from .benchmarks import PRECISIONS, run_table
 from .plants import get_plant
 from .scenario import Scenario, ScenarioError, emit_result, parse_scenario
@@ -37,12 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_scenario_command("solve", "compute the interception time")
     add_scenario_command("trace", "print the iterate table of a solve")
-    p_plot = add_scenario_command("plot", "render the interception as SVG")
+    add_scenario_command("plot", "render the interception as SVG")
     p_oracle = add_scenario_command(
         "oracle", "brute-force the first capture-time crossing"
     )
     p_oracle.add_argument("--resolution", type=float, default=1e-6)
-    del p_plot
 
     p_table = sub.add_parser(
         "table", help="recompute the benchmark iteration-count table"
@@ -66,7 +65,8 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         )
     if args.horizon is not None:
         scenario = dataclasses.replace(scenario, horizon=args.horizon)
-    if scenario.trajectory.kind == LISSAJOUS and "speed_bound" not in scenario.trajectory.params:
+    traj = scenario.trajectory
+    if isinstance(traj, LissajousTrajectory) and traj.speed_bound == traj.v:
         print(
             "note: lissajous speed bound defaults to the parameter v; the curve's "
             "true speed reaches v*sqrt(2) (set trajectory.speed_bound to tighten)",
@@ -192,10 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

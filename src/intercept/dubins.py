@@ -305,20 +305,6 @@ def distance(t: float, y: PlanarPoint) -> float:
     return _cc_nearest(t, y)[2]
 
 
-def dubins_best_estimator(t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
-    """Largest known-safe step toward the capture time from (t, y).
-
-    ``rho`` is ``distance(t, y)``. Where the nearest reachable point lies on
-    the CS part of the boundary, rho is the remaining CS path length
-    v_cs(y) - t and the step t + (rho - ell)/(1 + v) is exact (the largest
-    universally valid step); elsewhere the same expression is the generic
-    distance-closing step, which is still safe.
-    """
-    if rho <= ell:
-        raise ValueError("point already within capture distance")
-    return t + (rho - ell) / (1.0 + v)
-
-
 def boundary_points(t: float, n: int) -> list[PlanarPoint]:
     """Sample both boundary families at n parameters each, plus mirror images."""
     if t <= 0:
@@ -386,11 +372,15 @@ class DubinsCar(PlantModel):
     def distance(self, t: float, y: PlanarPoint) -> float:
         return distance(t, y)
 
-    def contains(self, t: float, y: PlanarPoint) -> bool:
-        return contains(t, y)
-
     def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
-        return dubins_best_estimator(t, y, rho, v, ell)
+        """Largest known-safe step t + (rho - ell)/(1 + v), rho = distance(t, y).
+
+        Exact where the CS family is nearest (rho is then the remaining CS
+        length v_cs(y) - t); elsewhere the generic distance-closing step.
+        """
+        if rho <= ell:
+            raise ValueError("point already within capture distance")
+        return t + (rho - ell) / (1.0 + v)
 
     def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
         return boundary_points(t, n)

@@ -1,9 +1,9 @@
 """Plant models: the reachable-set distance contract and simple motions.
 
 A plant is represented purely by the distance from a query point to its
-time-t reachable positions and a membership test; it may override the
-estimator step, boundary sampling and path reconstruction. Both built-in
-plants move with unit maximum speed.
+time-t reachable positions; it may override the estimator step, boundary
+sampling and path reconstruction. Both built-in plants move with unit
+maximum speed.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class PlantModel(abc.ABC):
     @abc.abstractmethod
     def distance(self, t: float, y: PlanarPoint) -> float:
         """Euclidean distance from y to the set of positions reachable at time t."""
-
-    @abc.abstractmethod
-    def contains(self, t: float, y: PlanarPoint) -> bool:
-        """Whether y is reachable at exactly time t."""
 
     def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
         """Largest safe estimator step from (t, y), given rho = distance(t, y) >= ell.
@@ -155,22 +151,6 @@ def simple_distance(t: float, y: PlanarPoint) -> float:
     return max(y.norm() - t, 0.0)
 
 
-def simple_contains(t: float, y: PlanarPoint) -> bool:
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return y.norm() <= t
-
-
-def simple_best_estimator(t: float, y: PlanarPoint, v: float, ell: float) -> float:
-    """Largest safe step toward the capture time; exact for this plant."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    r = y.norm()
-    if r > t + ell:
-        return (r + v * t - ell) / (1.0 + v)
-    return t
-
-
 def simple_path(
     t_star: float, y_target: PlanarPoint, ell: float, reach: float
 ) -> InterceptionPath:
@@ -200,13 +180,16 @@ class SimpleMotions(PlantModel):
     def distance(self, t: float, y: PlanarPoint) -> float:
         return simple_distance(t, y)
 
-    def contains(self, t: float, y: PlanarPoint) -> bool:
-        return simple_contains(t, y)
-
     def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
+        """Largest safe step toward the capture time; exact for this plant."""
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t}")
         # (|y| + v*t - ell)/(1 + v) reads |y| directly; the same step written
         # through rho would round differently
-        return simple_best_estimator(t, y, v, ell)
+        r = y.norm()
+        if r > t + ell:
+            return (r + v * t - ell) / (1.0 + v)
+        return t
 
     def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
         if t <= 0:

@@ -10,31 +10,28 @@ written with the shortest decimal form that reparses to the same double).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from typing import Any
 
 from .core import (
-    LISSAJOUS,
-    PIECEWISE_LINEAR,
-    LINE,
     CaptureSpec,
+    LineTrajectory,
+    LissajousTrajectory,
+    PiecewiseLinearTrajectory,
     PlanarPoint,
     SolveTrace,
     TargetTrajectory,
-    make_line_trajectory,
-    make_lissajous_trajectory,
-    make_piecewise_linear_trajectory,
 )
 from .plants import ARC, InterceptionPath, PathSegment
 from .solver import EstimatorKind, SolveResult, SolveStatus
 
 PLANT_NAMES = ("simple", "dubins")
 DEFAULT_HORIZON = 50.0
+_FLOAT_MAX = sys.float_info.max
 
-_TRAJECTORY_FIELDS = {
-    LINE: {"kind", "xi", "eta", "phi", "v"},
-    LISSAJOUS: {"kind", "xi", "eta", "omega_x", "omega_y", "v", "speed_bound"},
-    PIECEWISE_LINEAR: {"kind"},
+TRAJECTORY_KINDS = {
+    cls.kind: cls for cls in (LineTrajectory, LissajousTrajectory, PiecewiseLinearTrajectory)
 }
 
 
@@ -55,13 +52,21 @@ class Scenario:
     horizon: float
 
 
+def _finite(value: Any) -> float | None:
+    """``value`` as a float if it is a finite JSON number (not a bool), else None."""
+    # NaN, the infinities and integers beyond the float range fail the range test
+    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
+    return None
+
+
 def _number(doc: dict, key: str, context: str) -> float:
     if key not in doc:
         raise ScenarioError(f"missing required field '{key}'", field=f"{context}{key}")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"'{key}' must be a number", field=f"{context}{key}")
-    return float(value)
+    number = _finite(doc[key])
+    if number is None:
+        raise ScenarioError(f"'{key}' must be a finite number", field=f"{context}{key}")
+    return number
 
 
 def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
@@ -73,79 +78,51 @@ def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
         )
 
 
+def _parse_samples(samples_doc: Any) -> list[tuple[float, PlanarPoint]]:
+    if not isinstance(samples_doc, list) or not samples_doc:
+        raise ScenarioError("'samples' must be a non-empty list", field="samples")
+    samples = []
+    for i, entry in enumerate(samples_doc):
+        ok = isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
+        numbers = [_finite(v) for v in [entry[0], *entry[1]]] if ok else []
+        if len(numbers) != 3 or None in numbers:
+            raise ScenarioError(
+                f"sample #{i} must look like [t, [x, y]] with finite numbers",
+                field=f"samples[{i}]",
+            )
+        samples.append((numbers[0], PlanarPoint(numbers[1], numbers[2])))
+    return samples
+
+
 def _parse_trajectory(doc: dict, samples_doc: Any) -> TargetTrajectory:
+    """Build the kind ``doc["kind"]`` names from its fields.
+
+    A piecewise-linear target's ``samples`` live at the top level of the
+    scenario; every other field sits in the trajectory object.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError("'trajectory' must be an object", field="trajectory")
     kind = doc.get("kind")
-    if kind not in _TRAJECTORY_FIELDS:
+    cls = TRAJECTORY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ScenarioError(
             f"unknown trajectory kind {kind!r} (expected one of "
-            f"{sorted(_TRAJECTORY_FIELDS)})",
+            f"{sorted(TRAJECTORY_KINDS)})",
             field="trajectory.kind",
         )
-    _reject_unknown(doc, _TRAJECTORY_FIELDS[kind], "trajectory.")
+    names = [f.name for f in fields(cls) if f.init]
+    _reject_unknown(doc, {"kind", *names} - {"samples"}, "trajectory.")
+    if ("samples" in names) != (samples_doc is not None):
+        needed = "required" if samples_doc is None else "not valid"
+        raise ScenarioError(f"'samples' is {needed} for {cls.kind} trajectories", field="samples")
+    values = {}
+    for f in fields(cls):
+        if f.name == "samples":
+            values["samples"] = _parse_samples(samples_doc)
+        elif f.init and (f.name in doc or f.default is MISSING):
+            values[f.name] = _number(doc, f.name, "trajectory.")
     try:
-        if kind == LINE:
-            if samples_doc is not None:
-                raise ScenarioError(
-                    "'samples' is only valid for piecewise_linear trajectories",
-                    field="samples",
-                )
-            return make_line_trajectory(
-                _number(doc, "xi", "trajectory."),
-                _number(doc, "eta", "trajectory."),
-                _number(doc, "phi", "trajectory."),
-                _number(doc, "v", "trajectory."),
-            )
-        if kind == LISSAJOUS:
-            if samples_doc is not None:
-                raise ScenarioError(
-                    "'samples' is only valid for piecewise_linear trajectories",
-                    field="samples",
-                )
-            bound = None
-            if "speed_bound" in doc:
-                bound = _number(doc, "speed_bound", "trajectory.")
-            return make_lissajous_trajectory(
-                _number(doc, "xi", "trajectory."),
-                _number(doc, "eta", "trajectory."),
-                _number(doc, "omega_x", "trajectory."),
-                _number(doc, "omega_y", "trajectory."),
-                _number(doc, "v", "trajectory."),
-                speed_bound=bound,
-            )
-        # piecewise linear: points live in the top-level "samples" list
-        if samples_doc is None:
-            raise ScenarioError(
-                "missing required field 'samples' for piecewise_linear",
-                field="samples",
-            )
-        if not isinstance(samples_doc, list) or not samples_doc:
-            raise ScenarioError("'samples' must be a non-empty list", field="samples")
-        samples = []
-        for i, entry in enumerate(samples_doc):
-            ok = (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and isinstance(entry[0], (int, float))
-                and not isinstance(entry[0], bool)
-                and isinstance(entry[1], list)
-                and len(entry[1]) == 2
-                and all(
-                    isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in entry[1]
-                )
-            )
-            if not ok:
-                raise ScenarioError(
-                    f"sample #{i} must look like [t, [x, y]]", field=f"samples[{i}]"
-                )
-            samples.append(
-                (float(entry[0]), PlanarPoint(float(entry[1][0]), float(entry[1][1])))
-            )
-        return make_piecewise_linear_trajectory(samples)
-    except ScenarioError:
-        raise
+        return cls(**values)
     except ValueError as exc:
         raise ScenarioError(str(exc), field="trajectory") from exc
 
@@ -181,13 +158,10 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(capture_doc, dict):
         raise ScenarioError("'capture' must be an object", field="capture")
     _reject_unknown(capture_doc, {"ell", "epsilon"}, "capture.")
+    ell = _number(capture_doc, "ell", "capture.")
+    epsilon = _number(capture_doc, "epsilon", "capture.")
     try:
-        capture = CaptureSpec(
-            _number(capture_doc, "ell", "capture."),
-            _number(capture_doc, "epsilon", "capture."),
-        )
-    except ScenarioError:
-        raise
+        capture = CaptureSpec(ell, epsilon)
     except ValueError as exc:
         raise ScenarioError(str(exc), field="capture") from exc
 
@@ -210,15 +184,13 @@ def parse_scenario(text: str) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     traj = scenario.trajectory
-    if traj.kind not in _TRAJECTORY_FIELDS:
+    if TRAJECTORY_KINDS.get(traj.kind) is not type(traj):
         raise ValueError(f"{traj.kind} trajectories cannot be serialized")
-    doc: dict[str, Any] = {"plant": scenario.plant}
-    if traj.kind == PIECEWISE_LINEAR:
-        doc["trajectory"] = {"kind": traj.kind}
-        assert traj.samples is not None
-        doc["samples"] = [[t, [p.x, p.y]] for t, p in traj.samples]
-    else:
-        doc["trajectory"] = {"kind": traj.kind, **traj.params}
+    values = traj.scenario_fields()
+    samples = values.pop("samples", None)
+    doc: dict[str, Any] = {"plant": scenario.plant, "trajectory": {"kind": traj.kind, **values}}
+    if samples is not None:
+        doc["samples"] = [[t, [p.x, p.y]] for t, p in samples]
     doc["capture"] = {"ell": scenario.capture.ell, "epsilon": scenario.capture.epsilon}
     doc["estimator"] = scenario.estimator.value
     doc["horizon"] = scenario.horizon

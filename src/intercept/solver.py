@@ -192,10 +192,10 @@ def grid_oracle(
     bisects the bracketing interval down to ``resolution``. Returns None if
     no crossing is found up to the horizon.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be > 0, got {resolution}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     v = trajectory.speed_bound
 
     def g(t: float) -> float:

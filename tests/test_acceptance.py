@@ -97,8 +97,8 @@ def test_criterion_2_simple_motions_analytic_ground_truth():
     for row in benchmark_rows():
         if not row.label.startswith("line"):
             continue
-        p = row.trajectory.params
-        want = line_interception_time(p["xi"], p["eta"], p["phi"], p["v"], CAPTURE_RADIUS)
+        p = row.trajectory
+        want = line_interception_time(p.xi, p.eta, p.phi, p.v, CAPTURE_RADIUS)
         got = refine_ground_truth(SIMPLE_MOTIONS, row.trajectory, CAPTURE_RADIUS)
         assert abs(got - want) <= 1e-10, (row.label, got, want)
         checked += 1

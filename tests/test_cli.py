@@ -139,6 +139,17 @@ def test_lissajous_note_on_stderr(scenario_file, capsys):
     assert "speed bound" in captured.err
 
 
+def test_non_finite_input_is_an_input_error(scenario_file, capsys):
+    # Python's JSON parser reads NaN; the solve used to report a capture at
+    # t = 0 after 0 iterations
+    doc = dict(LINE_SIMPLE, trajectory=dict(LINE_SIMPLE["trajectory"], xi=math.nan))
+    code = main(["solve", scenario_file(doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "trajectory.xi" in captured.err
+
+
 def test_estimator_override(scenario_file, capsys):
     path = scenario_file(LINE_SIMPLE)
     code = main(["solve", path, "--estimator", "simple"])

@@ -38,6 +38,14 @@ def test_capture_spec_validation():
         CaptureSpec(0.1, -1e-6)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_capture_spec_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        CaptureSpec(value, 1e-6)
+    with pytest.raises(ValueError, match="finite"):
+        CaptureSpec(0.1, value)
+
+
 class TestLineTrajectory:
     def test_start_point(self):
         traj = make_line_trajectory(0, 1, 0, 0.25)
@@ -204,5 +212,4 @@ def test_custom_trajectory():
 def test_solve_trace_accessors():
     trace = SolveTrace(((0.0, 1.0), (0.9, 0.1)))
     assert trace.iteration_count == 1
-    assert trace.final_time == 0.9
     assert trace.final_distance == 0.1

@@ -15,7 +15,6 @@ from intercept.dubins import (
     classify,
     contains,
     distance,
-    dubins_best_estimator,
     dubins_path,
     theta_cs,
     v_cc,
@@ -238,23 +237,23 @@ class TestDistance:
 class TestBestEstimator:
     def test_cs_domain_step(self):
         p = PlanarPoint(0, 3)
-        got = dubins_best_estimator(1.0, p, distance(1.0, p), 0.5, 0.1)
+        got = DUBINS_CAR.best_step(1.0, p, distance(1.0, p), 0.5, 0.1)
         assert got == pytest.approx(1 + (3 - 1 - 0.1) / 1.5, abs=1e-15)
 
     def test_stationary_straight_ahead(self):
         p = PlanarPoint(0, 3)
-        assert dubins_best_estimator(0.0, p, distance(0.0, p), 0.0, 0.0) == 3.0
+        assert DUBINS_CAR.best_step(0.0, p, distance(0.0, p), 0.0, 0.0) == 3.0
 
     def test_d1_fallback_equals_generic_step(self):
         p = PlanarPoint(0.3, 0.2)
         rho = distance(0.0, p)
-        got = dubins_best_estimator(0.0, p, rho, 0.5, 0.01)
+        got = DUBINS_CAR.best_step(0.0, p, rho, 0.5, 0.01)
         assert got == 0.0 + (rho - 0.01) / 1.5
 
     def test_precondition(self):
         p = PlanarPoint(0, 3)
         with pytest.raises(ValueError):
-            dubins_best_estimator(3.0, p, distance(3.0, p), 0.5, 0.1)
+            DUBINS_CAR.best_step(3.0, p, distance(3.0, p), 0.5, 0.1)
 
     @given(times, points)
     @settings(max_examples=300, deadline=None)
@@ -272,7 +271,7 @@ class TestBestEstimator:
         if rho <= 0.1:
             return
         assert rho == v_cs(p) - t
-        closed = dubins_best_estimator(t, p, rho, 0.5, 0.1)
+        closed = DUBINS_CAR.best_step(t, p, rho, 0.5, 0.1)
         assert closed == t + (v_cs(p) - t - 0.1) / 1.5
 
 

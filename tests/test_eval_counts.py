@@ -4,6 +4,8 @@ One solve should cost one distance evaluation per iterate, plus the one
 that guards path reconstruction, and one Dubins distance should classify
 its query once. The counts are deterministic, so these tests stop a
 refactor from silently re-evaluating the distance or its case analysis.
+Every trajectory kind is evaluated once per iterate through
+``TargetTrajectory.position``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,21 @@ import pathlib
 
 import pytest
 
-from intercept import dubins, get_plant, parse_scenario, plants, solve
+from intercept import (
+    SIMPLE_MOTIONS,
+    CaptureSpec,
+    PlanarPoint,
+    TargetTrajectory,
+    dubins,
+    get_plant,
+    make_custom_trajectory,
+    make_line_trajectory,
+    make_lissajous_trajectory,
+    make_piecewise_linear_trajectory,
+    parse_scenario,
+    plants,
+    solve,
+)
 from intercept.benchmarks import run_table
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -69,3 +85,29 @@ def test_table_classifies_each_dubins_query_once(distance_calls, monkeypatch):
     run_table()
     assert distance_calls["dubins"] == 1362
     assert classify_calls <= distance_calls["dubins"]
+
+
+@pytest.mark.parametrize(
+    "traj",
+    [
+        make_line_trajectory(0, 1, 0, 0.25),
+        make_lissajous_trajectory(1, 1, 1, 2, 0.5),
+        make_piecewise_linear_trajectory([(0, PlanarPoint(2, 0.5)), (1, PlanarPoint(1.5, 1))]),
+        make_custom_trajectory(lambda t: PlanarPoint(0.0, 1.0 + 0.5 * t), 0.5),
+    ],
+    ids=lambda traj: traj.kind,
+)
+def test_every_kind_is_evaluated_through_position(monkeypatch, traj):
+    # layer tracers hook TargetTrajectory.position, so no kind may bypass it
+    calls = 0
+    original = TargetTrajectory.position
+
+    def counting(self, t):
+        nonlocal calls
+        calls += 1
+        return original(self, t)
+
+    monkeypatch.setattr(TargetTrajectory, "position", counting)
+    result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))
+    assert result.trace.iteration_count > 0
+    assert calls == result.trace.iteration_count + 1  # one per iterate

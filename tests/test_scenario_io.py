@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from intercept.core import (
     CaptureSpec,
     PlanarPoint,
+    make_custom_trajectory,
     make_line_trajectory,
     make_lissajous_trajectory,
     make_piecewise_linear_trajectory,
@@ -36,7 +37,7 @@ class TestParseScenario:
         scenario = parse_scenario(MINIMAL)
         assert scenario.plant == "simple"
         assert scenario.trajectory.kind == "line"
-        assert scenario.trajectory.params["v"] == 0.25
+        assert scenario.trajectory.v == 0.25
         assert scenario.capture == CaptureSpec(0.1, 1e-6)
         assert scenario.estimator is EstimatorKind.BEST
         assert scenario.horizon == 50.0
@@ -95,6 +96,41 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="samples"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("trajectory", "xi"), "trajectory.xi"),
+            (("capture", "ell"), "capture.ell"),
+            (("capture", "epsilon"), "capture.epsilon"),
+            (("horizon",), "horizon"),
+        ],
+    )
+    def test_non_finite_number_names_the_field(self, literal, path, field):
+        doc = json.loads(MINIMAL)
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+        with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(text)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_sample_names_the_sample(self, literal, slot):
+        numbers = ["0", "1", "2"]
+        numbers[slot] = literal
+        text = (
+            '{"plant": "simple", "trajectory": {"kind": "piecewise_linear"}, '
+            '"samples": [[0, [0, 0]], [%s, [%s, %s]]], '
+            '"capture": {"ell": 0.1, "epsilon": 1e-6}}'
+        ) % tuple(numbers)
+        with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(text)
+        assert exc.value.field == "samples[1]"
+
     def test_bool_is_not_a_number(self):
         doc = json.loads(MINIMAL)
         doc["capture"]["ell"] = True
@@ -152,9 +188,36 @@ class TestRoundTrip:
         traj = make_line_trajectory(1 / 3, math.pi, 0.1, 2 / 7)
         scenario = Scenario("simple", traj, CaptureSpec(0.1, 1e-6), EstimatorKind.BEST, 50.0)
         back = parse_scenario(emit_scenario(scenario))
-        assert back.trajectory.params["xi"] == 1 / 3
-        assert back.trajectory.params["eta"] == math.pi
-        assert back.trajectory.params["v"] == 2 / 7
+        assert back.trajectory.xi == 1 / 3
+        assert back.trajectory.eta == math.pi
+        assert back.trajectory.v == 2 / 7
+
+
+class TestEmitScenario:
+    def _emit(self, traj):
+        return json.loads(
+            emit_scenario(
+                Scenario("simple", traj, CaptureSpec(0.1, 1e-6), EstimatorKind.BEST, 50.0)
+            )
+        )
+
+    def test_lissajous_default_bound_is_not_written(self):
+        doc = self._emit(make_lissajous_trajectory(0, 0, 1, 2, 0.5))
+        assert doc["trajectory"] == {
+            "kind": "lissajous", "xi": 0.0, "eta": 0.0, "omega_x": 1.0, "omega_y": 2.0, "v": 0.5,
+        }
+        strict = self._emit(make_lissajous_trajectory(0, 0, 1, 2, 0.5, speed_bound=0.75))
+        assert strict["trajectory"]["speed_bound"] == 0.75
+
+    def test_piecewise_samples_sit_at_the_top_level(self):
+        traj = make_piecewise_linear_trajectory([(0, PlanarPoint(1, 2)), (1, PlanarPoint(2, 2))])
+        doc = self._emit(traj)
+        assert doc["trajectory"] == {"kind": "piecewise_linear"}
+        assert doc["samples"] == [[0.0, [1.0, 2.0]], [1.0, [2.0, 2.0]]]
+
+    def test_custom_trajectory_cannot_be_serialized(self):
+        with pytest.raises(ValueError, match="custom"):
+            self._emit(make_custom_trajectory(lambda t: PlanarPoint(t, 0.0), 1.0))
 
 
 class TestEmitResult:

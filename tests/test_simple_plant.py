@@ -7,8 +7,6 @@ from intercept.plants import (
     STRAIGHT,
     WAIT,
     get_plant,
-    simple_best_estimator,
-    simple_contains,
     simple_distance,
     simple_path,
 )
@@ -34,34 +32,40 @@ class TestDistance:
 
 
 class TestContains:
+    """The reachable disk is where the distance is zero."""
+
     def test_boundary(self):
-        assert simple_contains(1.0, PlanarPoint(0, 1))
+        assert simple_distance(1.0, PlanarPoint(0, 1)) == 0.0
 
     def test_outside(self):
-        assert not simple_contains(0.5, PlanarPoint(0, 1))
+        assert simple_distance(0.5, PlanarPoint(0, 1)) > 0.0
 
     def test_inside(self):
-        assert simple_contains(1.2, PlanarPoint(1, 0))
+        assert simple_distance(1.2, PlanarPoint(1, 0)) == 0.0
+
+
+def best_step(t, y, v, ell):
+    return SIMPLE_MOTIONS.best_step(t, y, simple_distance(t, y), v, ell)
 
 
 class TestBestEstimator:
     def test_step_from_zero(self):
-        assert simple_best_estimator(0.0, PlanarPoint(0, 1), 0.25, 0.1) == pytest.approx(0.72)
+        assert best_step(0.0, PlanarPoint(0, 1), 0.25, 0.1) == pytest.approx(0.72)
 
     def test_already_captured(self):
-        assert simple_best_estimator(5.0, PlanarPoint(0, 1), 0.25, 0.1) == 5.0
+        assert best_step(5.0, PlanarPoint(0, 1), 0.25, 0.1) == 5.0
 
     def test_stationary_zero_radius(self):
-        assert simple_best_estimator(0.0, PlanarPoint(0, 1), 0.0, 0.0) == 1.0
+        assert best_step(0.0, PlanarPoint(0, 1), 0.0, 0.0) == 1.0
 
     @given(times, points, st.floats(0, 3), st.floats(0, 1))
     def test_never_steps_backward(self, t, y, v, ell):
-        assert simple_best_estimator(t, y, v, ell) >= t
+        assert best_step(t, y, v, ell) >= t
 
     @given(times, points, st.floats(0, 3), st.floats(0, 1))
     def test_strictly_forward_when_uncaptured(self, t, y, v, ell):
         if simple_distance(t, y) > ell:
-            assert simple_best_estimator(t, y, v, ell) > t
+            assert best_step(t, y, v, ell) > t
 
 
 class TestLipschitz:

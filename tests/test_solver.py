@@ -41,9 +41,6 @@ class HiddenStepPlant(PlantModel):
     def distance(self, t, y):
         return SIMPLE_MOTIONS.distance(t, y)
 
-    def contains(self, t, y):
-        return SIMPLE_MOTIONS.contains(t, y)
-
 
 class TestSimpleEstimator:
     def test_worked_example(self):
@@ -169,9 +166,6 @@ class TestSolve:
 
             def distance(self, t, y):
                 return 1.0 + 3e-16
-
-            def contains(self, t, y):
-                return False
 
         traj = make_line_trajectory(0, 1, 0, 0.0)
         result = solve(
@@ -305,6 +299,15 @@ class TestGridOracle:
             grid_oracle(SIMPLE_MOTIONS, traj, 0.1, 10.0, 0.0)
         with pytest.raises(ValueError):
             grid_oracle(SIMPLE_MOTIONS, traj, 0.1, -1.0, 1e-6)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_horizon_or_resolution_rejected(self, value):
+        # an infinite horizon would scan forever for a target never caught
+        traj = make_line_trajectory(0, 1, math.pi / 2, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            grid_oracle(SIMPLE_MOTIONS, traj, 0.1, value, 1e-6)
+        with pytest.raises(ValueError, match="finite"):
+            grid_oracle(SIMPLE_MOTIONS, traj, 0.1, 10.0, value)
 
     def test_lower_bound_safety_of_iterates(self):
         traj = make_line_trajectory(-1, -2, math.pi / 4, 0.5)
