@@ -21,6 +21,8 @@ from .core import PlanarPoint
 from .plants import (
     LEFT,
     RIGHT,
+    STRAIGHT,
+    WAIT,
     InterceptionPath,
     PlantModel,
     arc,
@@ -306,7 +308,7 @@ def distance(t: float, y: PlanarPoint) -> float:
 
 
 def boundary_points(t: float, n: int) -> list[PlanarPoint]:
-    """Sample both boundary families at n parameters each, plus mirror images."""
+    """n samples of the CS family, then n of the CC family, each followed by its mirror."""
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
     if n < 2:
@@ -382,16 +384,42 @@ class DubinsCar(PlantModel):
             raise ValueError("point already within capture distance")
         return t + (rho - ell) / (1.0 + v)
 
-    def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
-        return boundary_points(t, n)
+    def reachable_boundary(self, t: float) -> list[PlanarPoint]:
+        """Closed polyline: CS then CC on the right (128 samples each), then the mirror."""
+        pts = boundary_points(t, 128)
+        right, left = pts[::2], pts[1::2]
+        return right + left[::-1] + [right[0]]
 
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
     ) -> InterceptionPath:
         return dubins_path(t_star, y_target, ell, reach)
 
-    def path_initial_heading(self, path: InterceptionPath) -> float:
-        return HALF_PI
+    def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
+        """Integrate the path from the origin, heading +y; arcs every <= 0.05 rad."""
+        x, y = 0.0, 0.0
+        heading = HALF_PI
+        points = [PlanarPoint(x, y)]
+        for seg in path.segments:
+            if seg.kind == WAIT or seg.duration == 0.0:
+                continue
+            if seg.kind == STRAIGHT:
+                x += seg.duration * math.cos(heading)
+                y += seg.duration * math.sin(heading)
+                points.append(PlanarPoint(x, y))
+                continue
+            sign = 1.0 if seg.direction == LEFT else -1.0
+            steps = max(1, math.ceil(seg.duration / 0.05))
+            # unit turning circle, center one unit to the turning side
+            cx = x + math.cos(heading + sign * math.pi / 2)
+            cy = y + math.sin(heading + sign * math.pi / 2)
+            start_angle = heading - sign * math.pi / 2
+            for i in range(1, steps + 1):
+                a = start_angle + sign * seg.duration * i / steps
+                points.append(PlanarPoint(cx + math.cos(a), cy + math.sin(a)))
+            x, y = points[-1].x, points[-1].y
+            heading += sign * seg.duration
+        return points
 
 
 DUBINS_CAR = DubinsCar()

@@ -1,9 +1,9 @@
 """Plant models: the reachable-set distance contract and simple motions.
 
 A plant is represented purely by the distance from a query point to its
-time-t reachable positions; it may override the estimator step, boundary
-sampling and path reconstruction. Both built-in plants move with unit
-maximum speed.
+time-t reachable positions; it may override the estimator step, path
+reconstruction, and the drawing of its reachable set and of its paths. Both
+built-in plants move with unit maximum speed.
 """
 
 from __future__ import annotations
@@ -96,8 +96,13 @@ class PlantModel(abc.ABC):
                 return s
         return s  # still a valid lower bound
 
-    def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
-        raise NotImplementedError(f"{self.name} has no boundary sampler")
+    def reachable_boundary(self, t: float) -> float | list[PlanarPoint]:
+        """Boundary of the positions reachable at time t > 0, for drawing.
+
+        Either the radius of a disk centered at the origin, or a closed
+        polyline (its last point repeats its first).
+        """
+        raise NotImplementedError(f"{self.name} cannot draw its reachable set")
 
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
@@ -110,35 +115,9 @@ class PlantModel(abc.ABC):
         """
         raise NotImplementedError(f"{self.name} has no path reconstruction")
 
-    def path_initial_heading(self, path: InterceptionPath) -> float:
-        """Heading at the start of a reconstructed path, for flattening."""
-        raise NotImplementedError
-
-    def sample_path(self, path: InterceptionPath, max_arc_step: float = 0.05) -> list[PlanarPoint]:
-        """Flatten a path into points; arcs are subdivided at <= max_arc_step rad."""
-        x, y = 0.0, 0.0
-        heading = self.path_initial_heading(path)
-        points = [PlanarPoint(x, y)]
-        for seg in path.segments:
-            if seg.kind == WAIT or seg.duration == 0.0:
-                continue
-            if seg.kind == STRAIGHT:
-                x += seg.duration * math.cos(heading)
-                y += seg.duration * math.sin(heading)
-                points.append(PlanarPoint(x, y))
-                continue
-            sign = 1.0 if seg.direction == LEFT else -1.0
-            steps = max(1, math.ceil(seg.duration / max_arc_step))
-            # unit turning circle, center one unit to the turning side
-            cx = x + math.cos(heading + sign * math.pi / 2)
-            cy = y + math.sin(heading + sign * math.pi / 2)
-            start_angle = heading - sign * math.pi / 2
-            for i in range(1, steps + 1):
-                a = start_angle + sign * seg.duration * i / steps
-                points.append(PlanarPoint(cx + math.cos(a), cy + math.sin(a)))
-            x, y = points[-1].x, points[-1].y
-            heading += sign * seg.duration
-        return points
+    def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
+        """Points along a path from ``self.path``, starting at the origin, for drawing."""
+        raise NotImplementedError(f"{self.name} cannot draw its paths")
 
 
 # --- simple motions: velocity bounded by 1 in any direction -----------------
@@ -191,23 +170,26 @@ class SimpleMotions(PlantModel):
             return (r + v * t - ell) / (1.0 + v)
         return t
 
-    def boundary_points(self, t: float, n: int) -> list[PlanarPoint]:
-        if t <= 0:
-            raise ValueError(f"time must be > 0, got {t}")
-        return [
-            PlanarPoint(t * math.cos(2 * math.pi * i / n), t * math.sin(2 * math.pi * i / n))
-            for i in range(n)
-        ]
+    def reachable_boundary(self, t: float) -> float:
+        return t
 
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
     ) -> InterceptionPath:
         return simple_path(t_star, y_target, ell, reach)
 
-    def path_initial_heading(self, path: InterceptionPath) -> float:
-        if path.endpoint == ORIGIN:
-            return 0.0
-        return math.atan2(path.endpoint.y, path.endpoint.x)
+    def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
+        """The origin and the end of the straight run toward ``path.endpoint``."""
+        end = path.endpoint
+        heading = 0.0 if end == ORIGIN else math.atan2(end.y, end.x)
+        x, y = 0.0, 0.0
+        points = [PlanarPoint(x, y)]
+        for seg in path.segments:
+            if seg.kind == STRAIGHT and seg.duration != 0.0:
+                x += seg.duration * math.cos(heading)
+                y += seg.duration * math.sin(heading)
+                points.append(PlanarPoint(x, y))
+        return points
 
 
 SIMPLE_MOTIONS = SimpleMotions()

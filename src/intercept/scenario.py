@@ -198,7 +198,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def emit_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    return json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False) + "\n"
 
 
 def emit_result(result: SolveResult) -> str:
@@ -222,7 +222,7 @@ def emit_result(result: SolveResult) -> str:
             "segments": segments,
             "endpoint": [result.path.endpoint.x, result.path.endpoint.y],
         }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def parse_result(text: str) -> SolveResult:

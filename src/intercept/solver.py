@@ -88,10 +88,12 @@ def solve(
     Stops when distance <= ell*(1 + epsilon), after ``max_iterations`` steps
     (status ``BUDGET``), or when the step stays below 1e-15*(1 + t) for ten
     consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
-    infinite capture time cannot be certified in finite time). For ell = 0
-    the relative threshold degenerates, so ``EPSILON_ABS`` is used instead.
-    An intercepted result carries the plant's path, or None if the plant
-    does not reconstruct paths.
+    infinite capture time cannot be certified in finite time). A step to a
+    non-finite time, target position or distance also ends the solve as
+    ``UNREACHABLE``, at the last finite iterate; a non-finite target position
+    at t = 0 raises ValueError. For ell = 0 the relative threshold
+    degenerates, so ``EPSILON_ABS`` is used instead. An intercepted result
+    carries the plant's path, or None if the plant does not reconstruct paths.
     """
     v = trajectory.speed_bound
     if not math.isfinite(v):
@@ -103,6 +105,8 @@ def solve(
 
     t = 0.0
     y = trajectory.position(t)
+    if not (math.isfinite(y.x) and math.isfinite(y.y)):
+        raise ValueError(f"target position at t = 0 must be finite, got {y}")
     rho = plant.distance(t, y)
     iterates = [(t, rho)]
     underflow_run = 0
@@ -112,20 +116,31 @@ def solve(
             status = SolveStatus.BUDGET
             break
         t_next = step_fn(plant, t, y, rho, v, ell)
+        # a target that outruns the plant drives t, then its position, then
+        # the distance to infinity or NaN: no capture, and no such iterate
+        if not math.isfinite(t_next):
+            status = SolveStatus.UNREACHABLE
+            break
+        y_next = trajectory.position(t_next)
+        if not (math.isfinite(y_next.x) and math.isfinite(y_next.y)):
+            status = SolveStatus.UNREACHABLE
+            break
+        rho_next = plant.distance(t_next, y_next)
+        if not math.isfinite(rho_next):
+            status = SolveStatus.UNREACHABLE
+            break
         if t_next - t < 1e-15 * (1.0 + t_next):
             underflow_run += 1
         else:
             underflow_run = 0
-        t = t_next
-        y = trajectory.position(t)
-        rho = plant.distance(t, y)
+        t, y, rho = t_next, y_next, rho_next
         iterates.append((t, rho))
         if underflow_run >= 10:
             status = SolveStatus.UNREACHABLE
             break
 
     path = None
-    # a NaN distance also ends the loop as INTERCEPTED; it gets no path
+    # a plant's NaN distance at t = 0 also ends the loop as INTERCEPTED; no path
     if status is SolveStatus.INTERCEPTED and rho <= threshold:
         try:
             path = plant.path(t, y, ell, threshold)

@@ -30,16 +30,6 @@ def _points_attr(points: list[PlanarPoint]) -> str:
     return " ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in points)
 
 
-def _dubins_boundary_loop(plant: PlantModel, t: float, n: int = 128) -> list[PlanarPoint]:
-    """One closed polyline around the reachable set: CS and CC branches and mirrors."""
-    pts = plant.boundary_points(t, n)
-    cs_right = pts[0 : 2 * n : 2]
-    cs_left = pts[1 : 2 * n : 2]
-    cc_right = pts[2 * n :: 2]
-    cc_left = pts[2 * n + 1 :: 2]
-    return cs_right + cc_right + cc_left[::-1] + cs_left[::-1] + [cs_right[0]]
-
-
 def render_svg(
     plant: PlantModel,
     trajectory: TargetTrajectory,
@@ -49,9 +39,10 @@ def render_svg(
     """Render the scenario to an SVG document string.
 
     Draws the target trajectory over [0, t_star], the reachable-set boundary
-    at each positive time in ``times`` (circles for the simple-motions plant,
-    boundary polylines otherwise), the reconstructed interception path, and a
-    capture circle at the intercept whose radius is the achieved separation.
+    at each positive time in ``times`` as the plant outlines it (a circle for
+    a disk radius, otherwise a polyline), the reconstructed interception path
+    as the plant samples it, and a capture circle at the intercept whose
+    radius is the achieved separation.
     """
     # imported here so that `import intercept` does not load the XML package
     import xml.etree.ElementTree as ET
@@ -67,20 +58,22 @@ def render_svg(
     traj_points = [trajectory.position(horizon * i / n_traj) for i in range(n_traj + 1)]
     all_points += traj_points
 
-    reachable: list[tuple[str, object]] = []
+    svg = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg", "version": "1.1"})
+    g_reach = ET.SubElement(svg, "g", {"id": "reachable", **_STYLE["reachable"]})
     for t in times:
         if t <= 0:
             continue
-        if plant.name == "simple":
-            reachable.append(("circle", t))
-            all_points.append(PlanarPoint(t, t))
-            all_points.append(PlanarPoint(-t, -t))
+        outline = plant.reachable_boundary(t)
+        if isinstance(outline, list):
+            all_points += outline
+            ET.SubElement(g_reach, "polyline", {"points": _points_attr(outline)})
         else:
-            loop = _dubins_boundary_loop(plant, t)
-            reachable.append(("polyline", loop))
-            all_points += loop
+            all_points += [PlanarPoint(outline, outline), PlanarPoint(-outline, -outline)]
+            ET.SubElement(
+                g_reach, "circle", {"cx": _fmt(0.0), "cy": _fmt(0.0), "r": _fmt(outline)}
+            )
 
-    path_points = plant.sample_path(result.path, max_arc_step=0.05)
+    path_points = plant.sample_path(result.path)
     all_points += path_points
 
     capture_center = trajectory.position(t_star)
@@ -98,26 +91,7 @@ def render_svg(
         (max(xs) - min(xs)) + 2 * margin,
         (max(ys) - min(ys)) + 2 * margin,
     )
-
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "version": "1.1",
-            "viewBox": " ".join(_fmt(v) for v in view),
-        },
-    )
-
-    g_reach = ET.SubElement(svg, "g", {"id": "reachable", **_STYLE["reachable"]})
-    for shape, payload in reachable:
-        if shape == "circle":
-            ET.SubElement(
-                g_reach,
-                "circle",
-                {"cx": _fmt(0.0), "cy": _fmt(0.0), "r": _fmt(payload)},
-            )
-        else:
-            ET.SubElement(g_reach, "polyline", {"points": _points_attr(payload)})
+    svg.set("viewBox", " ".join(_fmt(v) for v in view))
 
     g_traj = ET.SubElement(svg, "g", {"id": "trajectory", **_STYLE["trajectory"]})
     ET.SubElement(g_traj, "polyline", {"points": _points_attr(traj_points)})

@@ -63,6 +63,23 @@ def test_solve_budget_exit_code(scenario_file, capsys):
     assert json.loads(out.out)["status"] == "budget"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("plant", ["simple", "dubins"])
+def test_target_fleeing_to_infinity_exits_unreachable(scenario_file, capsys, plant):
+    doc = {**FLEEING, "plant": plant, "trajectory": {**FLEEING["trajectory"], "v": 1.5}}
+    code = main(["solve", scenario_file(doc)])
+    out = capsys.readouterr()
+    assert code == 2
+    result = json.loads(out.out, parse_constant=_reject_constant)
+    assert result["status"] == "unreachable"
+    assert math.isfinite(result["t_star"])
+    assert result["path"] is None
+    assert out.err.startswith("no interception: unreachable")
+
+
 def test_output_is_deterministic(scenario_file, capsys):
     path = scenario_file(LINE_SIMPLE)
     main(["solve", path])

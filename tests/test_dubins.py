@@ -306,6 +306,18 @@ class TestBoundary:
             )
             assert junction.distance_to(cs_end) < 1e-12
 
+    def test_outline_is_a_closed_mirrored_loop_of_reachable_points(self):
+        for t in (0.3, 1.0, 2.5, math.pi, 7.0):
+            loop = DUBINS_CAR.reachable_boundary(t)
+            assert len(loop) == 4 * 128 + 1
+            assert loop[-1] == loop[0]
+            # the left half retraces the right half's mirror image backwards
+            assert loop[256:512] == [PlanarPoint(-p.x, p.y) for p in reversed(loop[:256])]
+            assert {(p.x, p.y) for p in loop} == {
+                (p.x, p.y) for p in boundary_points(t, 128)
+            }
+            assert all(distance(t, p) <= 1e-6 for p in loop[::8])
+
     def test_errors(self):
         with pytest.raises(ValueError):
             boundary_points(0.0, 10)

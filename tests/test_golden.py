@@ -6,11 +6,15 @@ iterate sequence (t_n, distance at t_n) of every file in ``scenarios/``.
 It also holds the Dubins distance (as ``float.hex``) and the Dubins
 ``contains`` answer at about 2,000 seeded queries plus boundary samples,
 where ``contains`` and ``distance == 0`` can disagree by rounding. Any change to the solver, the estimators or the distance functions that
-moves one of these by a single ulp fails here.
+moves one of these by a single ulp fails here. Finally it holds the SHA-256
+digest of the ``render_svg`` document of every shipped scenario and of the
+showcase Lissajous solve of ``scripts/plot_interception.py`` on both plants,
+so a change to how plants are drawn must keep every SVG byte-identical.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import pathlib
@@ -18,7 +22,17 @@ import random
 
 import pytest
 
-from intercept import PlanarPoint, dubins, get_plant, parse_scenario, solve
+from intercept import (
+    CaptureSpec,
+    EstimatorKind,
+    PlanarPoint,
+    dubins,
+    get_plant,
+    make_lissajous_trajectory,
+    parse_scenario,
+    render_svg,
+    solve,
+)
 from intercept.benchmarks import run_table
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -75,3 +89,36 @@ def test_dubins_distance_is_bit_identical():
 def test_dubins_contains_is_unchanged():
     got = [int(dubins.contains(t, p)) for t, p in dubins_queries()]
     assert got == GOLDEN["dubins"]["contains"]
+
+
+def svg_cases():
+    """(name, plant name, trajectory, capture, estimator) of every digested SVG."""
+    cases = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        cases.append(
+            (path.name, scenario.plant, scenario.trajectory, scenario.capture, scenario.estimator)
+        )
+    # the showcase of scripts/plot_interception.py
+    showcase = make_lissajous_trajectory(-1.0, -2.0, 1.0, math.sqrt(2.0), 1.0)
+    for plant_name in ("simple", "dubins"):
+        cases.append(
+            (
+                f"showcase_{plant_name}",
+                plant_name,
+                showcase,
+                CaptureSpec(0.1, 1e-6),
+                EstimatorKind.BEST,
+            )
+        )
+    return cases
+
+
+@pytest.mark.parametrize("case", svg_cases(), ids=lambda case: case[0])
+def test_svg_is_byte_identical(case):
+    name, plant_name, trajectory, capture, estimator = case
+    plant = get_plant(plant_name)
+    result = solve(plant, trajectory, capture, estimator)
+    times = [t for t, _ in result.trace.iterates if t > 0]
+    svg = render_svg(plant, trajectory, result, times)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == GOLDEN["svg"][name]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -253,3 +254,14 @@ class TestEmitResult:
         # results written before the key was dropped carried it next to status
         doc["termination"] = "captured"
         assert parse_result(json.dumps(doc)) == result
+
+
+def test_emitters_refuse_non_finite_numbers():
+    # strict JSON: a NaN or an infinity is an error, never written as a literal
+    traj = make_line_trajectory(0, 1, 0, 0.25)
+    result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))
+    with pytest.raises(ValueError):
+        emit_result(dataclasses.replace(result, t_star=math.inf))
+    scenario = Scenario("simple", traj, CaptureSpec(0.1, 1e-6), EstimatorKind.BEST, math.nan)
+    with pytest.raises(ValueError):
+        emit_scenario(scenario)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -126,10 +128,10 @@ def test_registry():
         get_plant("rocket")
 
 
-def test_boundary_points_lie_on_circle():
-    pts = SIMPLE_MOTIONS.boundary_points(2.5, 64)
-    assert len(pts) == 64
-    for p in pts:
-        assert p.norm() == pytest.approx(2.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        SIMPLE_MOTIONS.boundary_points(0.0, 8)
+def test_reachable_boundary_is_the_disk_of_radius_t():
+    assert SIMPLE_MOTIONS.reachable_boundary(2.5) == 2.5
+    for k in range(64):
+        a = 2 * math.pi * k / 64
+        p = PlanarPoint(2.5 * math.cos(a), 2.5 * math.sin(a))
+        assert simple_distance(2.5, p) == pytest.approx(0.0, abs=1e-12)
+        assert simple_distance(2.5, p.scaled(1.01)) > 0.0

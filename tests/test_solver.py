@@ -160,6 +160,25 @@ class TestSolve:
         assert result.path is None
         assert result.trace.iteration_count == 50
 
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    def test_target_fleeing_to_infinity_is_unreachable(self, plant):
+        # faster than the plant: t, then the target position, overflow; the
+        # simple plant once read the NaN distance as a capture at t = inf and
+        # the Dubins plant failed an assertion on the infinite position
+        traj = make_line_trajectory(0, 1, math.pi / 2, 1.5)
+        result = solve(plant, traj, CaptureSpec(0.1, 1e-6))
+        assert result.status is SolveStatus.UNREACHABLE
+        assert result.path is None
+        assert all(math.isfinite(t) and math.isfinite(rho) for t, rho in result.trace.iterates)
+        assert result.t_star == result.trace.iterates[-1][0]
+
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_start_is_rejected(self, plant, x):
+        traj = make_custom_trajectory(lambda t: PlanarPoint(x, 0.0), 1.0)
+        with pytest.raises(ValueError, match="t = 0"):
+            solve(plant, traj, CaptureSpec(0.1, 1e-6))
+
     def test_step_underflow_flags_unreachable(self):
         class FrozenDistancePlant(PlantModel):
             name = "frozen"

@@ -8,9 +8,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import intercept
-from intercept.core import CaptureSpec, make_line_trajectory, make_lissajous_trajectory
+from intercept.core import (
+    CaptureSpec,
+    PlanarPoint,
+    make_line_trajectory,
+    make_lissajous_trajectory,
+)
 from intercept.dubins import DUBINS_CAR
-from intercept.plants import SIMPLE_MOTIONS
+from intercept.plants import SIMPLE_MOTIONS, SimpleMotions
 from intercept.solver import solve
 from intercept.svgplot import render_svg
 
@@ -35,6 +40,20 @@ def test_import_does_not_load_elementtree():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_showcase_script_writes_both_svgs(tmp_path):
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    src = pathlib.Path(intercept.__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, str(repo / "scripts" / "plot_interception.py"), str(tmp_path)],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    for plant_name in ("simple", "dubins"):
+        root = ET.parse(tmp_path / f"{plant_name}_interception.svg").getroot()
+        assert root.tag == f"{SVG_NS}svg"
 
 
 def test_declaration_and_single_root():
@@ -70,6 +89,27 @@ def test_simple_motions_circle_radii_match_iterate_times():
     assert len(radii) == len(times)
     for r, t in zip(radii, times):
         assert abs(r - t) <= 1e-9
+
+
+class SquareOutlinePlant(SimpleMotions):
+    """Simple motions under the same name, outlined by a square polyline."""
+
+    def reachable_boundary(self, t):
+        corners = [(t, t), (-t, t), (-t, -t), (t, -t), (t, t)]
+        return [PlanarPoint(x, y) for x, y in corners]
+
+
+def test_outline_comes_from_the_plant_not_its_name():
+    plant = SquareOutlinePlant()
+    assert plant.name == "simple"
+    traj, result = _solve_line(plant)
+    svg = render_svg(plant, traj, result, [0.5, 1.0])
+    root = ET.fromstring(svg)
+    reachable = next(g for g in root.findall(f"{SVG_NS}g") if g.get("id") == "reachable")
+    assert reachable.findall(f"{SVG_NS}circle") == []
+    polylines = [p.get("points") for p in reachable.findall(f"{SVG_NS}polyline")]
+    assert len(polylines) == 2
+    assert polylines[1] == "1.0,-1.0 -1.0,-1.0 -1.0,1.0 1.0,1.0 1.0,-1.0"
 
 
 def test_missing_path_rejected():
