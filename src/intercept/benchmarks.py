@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import TargetTrajectory, make_line_trajectory, make_lissajous_trajectory
-from .plants import get_plant
+from .plants import PLANT_NAMES, get_plant
 from .solver import ConvergenceError, refine_iterates
 
 CAPTURE_RADIUS = 0.1
 PRECISIONS = (1e-3, 1e-6, 1e-9)
-PLANTS = ("simple", "dubins")
 
 SQRT2 = math.sqrt(2.0)
 
@@ -121,7 +120,7 @@ def run_table() -> list[TableCellResult]:
     """
     results = []
     for row in benchmark_rows():
-        for plant_name in PLANTS:
+        for plant_name in PLANT_NAMES:
             plant = get_plant(plant_name)
             times = list(refine_iterates(plant, row.trajectory, CAPTURE_RADIUS))
             t_ref = times[-1]

@@ -28,16 +28,19 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_scenario_command(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--estimator", choices=["simple", "best"])
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--max-iterations", type=int, default=10_000)
         p.add_argument("--horizon", type=float)
         p.add_argument("--out", help="write the output document to this file")
         return p
 
-    add_scenario_command("solve", "compute the interception time")
-    add_scenario_command("trace", "print the iterate table of a solve")
-    add_scenario_command("plot", "render the interception as SVG")
+    for name, help_text in (
+        ("solve", "compute the interception time"),
+        ("trace", "print the iterate table of a solve"),
+        ("plot", "render the interception as SVG"),
+    ):
+        p_solve = add_scenario_command(name, help_text)
+        p_solve.add_argument("--estimator", choices=["simple", "best"])
+        p_solve.add_argument("--epsilon", type=float)
+        p_solve.add_argument("--max-iterations", type=int, default=10_000)
     p_oracle = add_scenario_command(
         "oracle", "brute-force the first capture-time crossing"
     )
@@ -57,12 +60,6 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     scenario = parse_scenario(text)
-    if args.estimator:
-        scenario = dataclasses.replace(scenario, estimator=EstimatorKind(args.estimator))
-    if args.epsilon is not None:
-        scenario = dataclasses.replace(
-            scenario, capture=CaptureSpec(scenario.capture.ell, args.epsilon)
-        )
     if args.horizon is not None:
         scenario = dataclasses.replace(scenario, horizon=args.horizon)
     traj = scenario.trajectory
@@ -84,12 +81,16 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _run_solve(scenario: Scenario, args: argparse.Namespace):
-    plant = get_plant(scenario.plant)
+    """Solve the scenario with the --estimator and --epsilon overrides applied."""
+    estimator = EstimatorKind(args.estimator) if args.estimator else scenario.estimator
+    capture = scenario.capture
+    if args.epsilon is not None:
+        capture = CaptureSpec(capture.ell, args.epsilon)
     return solve(
-        plant,
+        get_plant(scenario.plant),
         scenario.trajectory,
-        scenario.capture,
-        scenario.estimator,
+        capture,
+        estimator,
         max_iterations=args.max_iterations,
     )
 

@@ -163,11 +163,14 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
         if len(samples) == 0:
             raise ValueError("at least one sample is required")
         if samples[0][0] != 0.0:
-            raise ValueError(f"first sample must be at t = 0, got t = {samples[0][0]}")
+            raise ValueError(f"sample #0 must be at t = 0, got t = {samples[0][0]}")
         bound = 0.0
-        for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
+        for i, ((t0, p0), (t1, p1)) in enumerate(zip(samples, samples[1:]), start=1):
             if t1 <= t0:
-                raise ValueError(f"sample times must be strictly increasing at t = {t1}")
+                raise ValueError(
+                    f"sample times must be strictly increasing: sample #{i} is at "
+                    f"t = {t1}, after t = {t0}"
+                )
             bound = max(bound, p1.distance_to(p0) / (t1 - t0))
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "speed_bound", bound)

@@ -328,44 +328,6 @@ def boundary_points(t: float, n: int) -> list[PlanarPoint]:
     return out
 
 
-def _mirror_segments(segments: list) -> list:
-    flipped = []
-    for seg in segments:
-        if seg.kind == "arc":
-            flipped.append(arc(LEFT if seg.direction == RIGHT else RIGHT, seg.duration))
-        else:
-            flipped.append(seg)
-    return flipped
-
-
-def dubins_path(
-    t_star: float, y_target: PlanarPoint, ell: float, reach: float
-) -> InterceptionPath:
-    """Reconstruct the duration-t_star path ending nearest to the target point.
-
-    The target must be within ``reach`` of the time-t_star reachable set;
-    ``ell`` is accepted for the plant interface and does not shorten the path.
-    """
-    if distance(t_star, y_target) > reach:
-        raise ValueError("target point is not capturable at the requested time")
-    mirrored = PlanarPoint(abs(y_target.x), y_target.y)
-    best = None  # (distance, segments, endpoint) in the right half-plane
-    if alpha_cs(mirrored) >= 0.0:
-        th = theta_cs(mirrored)
-        if th <= t_star:
-            endpoint = _cs_point(th, t_star)
-            dist = endpoint.distance_to(mirrored)
-            best = (dist, [arc(RIGHT, th), straight(t_star - th)], endpoint)
-    tau, cc_endpoint, cc_dist = _cc_nearest(t_star, mirrored)
-    if best is None or cc_dist < best[0]:
-        best = (cc_dist, [arc(LEFT, tau), arc(RIGHT, t_star - tau)], cc_endpoint)
-    _, segments, endpoint = best
-    if y_target.x < 0.0:
-        segments = _mirror_segments(segments)
-        endpoint = PlanarPoint(-endpoint.x, endpoint.y)
-    return InterceptionPath(tuple(segments), endpoint)
-
-
 class DubinsCar(PlantModel):
     """Unit-speed car with unit minimum turning radius, initially heading +y."""
 
@@ -393,7 +355,31 @@ class DubinsCar(PlantModel):
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
     ) -> InterceptionPath:
-        return dubins_path(t_star, y_target, ell, reach)
+        """Reconstruct the duration-t_star path ending nearest to the target point.
+
+        The target must be within ``reach`` of the time-t_star reachable set;
+        ``ell`` is accepted for the plant interface and does not shorten the path.
+        """
+        if distance(t_star, y_target) > reach:
+            raise ValueError("target point is not capturable at the requested time")
+        # solved in the right half-plane; left of the axis, turns and endpoint mirror
+        left = y_target.x < 0.0
+        turn, other = (LEFT, RIGHT) if left else (RIGHT, LEFT)
+        mirrored = PlanarPoint(abs(y_target.x), y_target.y)
+        best = None  # (distance, segments, endpoint in the right half-plane)
+        if alpha_cs(mirrored) >= 0.0:
+            th = theta_cs(mirrored)
+            if th <= t_star:
+                endpoint = _cs_point(th, t_star)
+                dist = endpoint.distance_to(mirrored)
+                best = (dist, (arc(turn, th), straight(t_star - th)), endpoint)
+        tau, cc_endpoint, cc_dist = _cc_nearest(t_star, mirrored)
+        if best is None or cc_dist < best[0]:
+            best = (cc_dist, (arc(other, tau), arc(turn, t_star - tau)), cc_endpoint)
+        _, segments, endpoint = best
+        if left:
+            endpoint = PlanarPoint(-endpoint.x, endpoint.y)
+        return InterceptionPath(segments, endpoint)
 
     def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
         """Integrate the path from the origin, heading +y; arcs every <= 0.05 rad."""

@@ -58,10 +58,6 @@ class InterceptionPath:
     segments: tuple[PathSegment, ...]
     endpoint: PlanarPoint
 
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
 
 class PlantModel(abc.ABC):
     """Contract every plant satisfies.
@@ -130,27 +126,6 @@ def simple_distance(t: float, y: PlanarPoint) -> float:
     return max(y.norm() - t, 0.0)
 
 
-def simple_path(
-    t_star: float, y_target: PlanarPoint, ell: float, reach: float
-) -> InterceptionPath:
-    """Straight run toward the target point, idling once within ell of it.
-
-    The target must be within ``reach`` of the disk of radius t_star.
-    """
-    if simple_distance(t_star, y_target) > reach:
-        raise ValueError("target point is not capturable at the requested time")
-    r = y_target.norm()
-    run = min(max(r - ell, 0.0), t_star)
-    if r > 0:
-        endpoint = y_target.scaled(run / r)
-    else:
-        endpoint = PlanarPoint(run, 0.0)  # direction convention for a target at 0
-    segments = [straight(run)]
-    if t_star - run > 0:
-        segments.append(wait(t_star - run))
-    return InterceptionPath(tuple(segments), endpoint)
-
-
 class SimpleMotions(PlantModel):
     """Plant that can move one unit of distance per unit time in any direction."""
 
@@ -176,7 +151,22 @@ class SimpleMotions(PlantModel):
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
     ) -> InterceptionPath:
-        return simple_path(t_star, y_target, ell, reach)
+        """Straight run toward the target point, idling once within ell of it.
+
+        The target must be within ``reach`` of the disk of radius t_star.
+        """
+        if simple_distance(t_star, y_target) > reach:
+            raise ValueError("target point is not capturable at the requested time")
+        r = y_target.norm()
+        run = min(max(r - ell, 0.0), t_star)
+        if r > 0:
+            endpoint = y_target.scaled(run / r)
+        else:
+            endpoint = PlanarPoint(run, 0.0)  # direction convention for a target at 0
+        segments = [straight(run)]
+        if t_star - run > 0:
+            segments.append(wait(t_star - run))
+        return InterceptionPath(tuple(segments), endpoint)
 
     def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
         """The origin and the end of the straight run toward ``path.endpoint``."""
@@ -193,10 +183,11 @@ class SimpleMotions(PlantModel):
 
 
 SIMPLE_MOTIONS = SimpleMotions()
+PLANT_NAMES = ("simple", "dubins")
 
 
 def get_plant(name: str) -> PlantModel:
-    """Look up a built-in plant by its identifier."""
+    """Look up a built-in plant by its identifier, one of ``PLANT_NAMES``."""
     if name == "simple":
         return SIMPLE_MOTIONS
     if name == "dubins":

@@ -23,10 +23,9 @@ from .core import (
     SolveTrace,
     TargetTrajectory,
 )
-from .plants import ARC, InterceptionPath, PathSegment
+from .plants import ARC, PLANT_NAMES, InterceptionPath, PathSegment
 from .solver import EstimatorKind, SolveResult, SolveStatus
 
-PLANT_NAMES = ("simple", "dubins")
 DEFAULT_HORIZON = 50.0
 _FLOAT_MAX = sys.float_info.max
 
@@ -124,7 +123,9 @@ def _parse_trajectory(doc: dict, samples_doc: Any) -> TargetTrajectory:
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(str(exc), field="trajectory") from exc
+        # the only checks of a kind with samples are on the samples
+        field = "trajectory" if samples_doc is None else "samples"
+        raise ScenarioError(str(exc), field=field) from exc
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -18,7 +18,7 @@ from .plants import InterceptionPath, PlantModel
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iteration cap is exhausted before convergence."""
+    """Raised when an iteration cap is exhausted or an iterate leaves the float range."""
 
 
 class EstimatorKind(enum.Enum):
@@ -91,7 +91,7 @@ def solve(
     infinite capture time cannot be certified in finite time). A step to a
     non-finite time, target position or distance also ends the solve as
     ``UNREACHABLE``, at the last finite iterate; a non-finite target position
-    at t = 0 raises ValueError. For ell = 0 the relative threshold
+    or distance at t = 0 raises ValueError. For ell = 0 the relative threshold
     degenerates, so ``EPSILON_ABS`` is used instead. An intercepted result
     carries the plant's path, or None if the plant does not reconstruct paths.
     """
@@ -108,6 +108,8 @@ def solve(
     if not (math.isfinite(y.x) and math.isfinite(y.y)):
         raise ValueError(f"target position at t = 0 must be finite, got {y}")
     rho = plant.distance(t, y)
+    if not math.isfinite(rho):
+        raise ValueError(f"plant distance at t = 0 must be finite, got {rho}")
     iterates = [(t, rho)]
     underflow_run = 0
     status = SolveStatus.INTERCEPTED
@@ -140,8 +142,7 @@ def solve(
             break
 
     path = None
-    # a plant's NaN distance at t = 0 also ends the loop as INTERCEPTED; no path
-    if status is SolveStatus.INTERCEPTED and rho <= threshold:
+    if status is SolveStatus.INTERCEPTED:
         try:
             path = plant.path(t, y, ell, threshold)
         except NotImplementedError:
@@ -161,16 +162,24 @@ def refine_iterates(
     Replaces the relative stopping rule with a step-size tolerance of
     ``1e-14 * (1 + t)`` so the last time is accurate to near machine
     precision for transversal approaches; it is the reference capture time.
+    A non-finite step, target position or distance raises ConvergenceError,
+    as when a target that outruns the plant drives t past the float range.
     """
     v = trajectory.speed_bound
     t = 0.0
     yield t
     for _ in range(max_iterations):
         y = trajectory.position(t)
+        if not (math.isfinite(y.x) and math.isfinite(y.y)):
+            raise ConvergenceError(f"target position at t = {t} is not finite: {y}")
         rho = plant.distance(t, y)
+        if not math.isfinite(rho):
+            raise ConvergenceError(f"distance at t = {t} is not finite: {rho}")
         if rho <= ell:
             return
         t_next = best_estimator(plant, t, y, rho, v, ell)
+        if not math.isfinite(t_next):
+            raise ConvergenceError(f"step from t = {t} is not finite: {t_next}")
         yield t_next
         if t_next - t <= 1e-14 * (1.0 + t_next):
             return

@@ -141,6 +141,16 @@ def test_oracle_not_found(scenario_file, capsys):
     assert json.loads(out.out)["found"] is False
 
 
+@pytest.mark.parametrize(
+    "option", [["--epsilon", "1e-3"], ["--estimator", "simple"], ["--max-iterations", "5"]]
+)
+def test_oracle_rejects_solver_options(scenario_file, option):
+    # grid_oracle reads only ell, the horizon and the resolution
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", scenario_file(LINE_SIMPLE), *option])
+    assert exc.value.code == 2  # argparse usage error
+
+
 def test_lissajous_note_on_stderr(scenario_file, capsys):
     doc = {
         "plant": "simple",

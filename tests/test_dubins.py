@@ -15,7 +15,6 @@ from intercept.dubins import (
     classify,
     contains,
     distance,
-    dubins_path,
     theta_cs,
     v_cc,
     v_cs,
@@ -327,7 +326,7 @@ class TestBoundary:
 
 class TestPath:
     def test_pure_straight(self):
-        path = dubins_path(2.0, PlanarPoint(0, 2), 0.0, 1e-6)
+        path = DUBINS_CAR.path(2.0, PlanarPoint(0, 2), 0.0, 1e-6)
         kinds = [(s.kind, s.direction) for s in path.segments]
         assert kinds == [("arc", "right"), ("straight", None)]
         assert path.segments[0].duration == 0.0
@@ -335,7 +334,7 @@ class TestPath:
         assert path.endpoint.distance_to(PlanarPoint(0, 2)) < 1e-12
 
     def test_half_circle(self):
-        path = dubins_path(math.pi, PlanarPoint(2, 0), 0.0, 1e-6)
+        path = DUBINS_CAR.path(math.pi, PlanarPoint(2, 0), 0.0, 1e-6)
         assert path.segments[0].kind == "arc"
         assert path.segments[0].direction == "right"
         assert path.segments[0].duration == pytest.approx(math.pi)
@@ -354,29 +353,29 @@ class TestPath:
             else:
                 lo = mid
         t_star = hi
-        path = dubins_path(t_star, target, 0.05, 0.05)
+        path = DUBINS_CAR.path(t_star, target, 0.05, 0.05)
         kinds = [(s.kind, s.direction) for s in path.segments]
         assert kinds == [("arc", "left"), ("arc", "right")]
-        assert path.total_duration == pytest.approx(t_star, abs=1e-9)
+        assert sum(s.duration for s in path.segments) == pytest.approx(t_star, abs=1e-9)
         assert target.distance_to(path.endpoint) == pytest.approx(0.05, abs=1e-6)
         flattened = DUBINS_CAR.sample_path(path)
         assert flattened[-1].distance_to(path.endpoint) < 1e-9
 
     def test_left_half_plane_is_mirrored(self):
-        path = dubins_path(math.pi, PlanarPoint(-2, 0), 0.0, 1e-6)
+        path = DUBINS_CAR.path(math.pi, PlanarPoint(-2, 0), 0.0, 1e-6)
         assert path.segments[0].direction == "left"
         assert path.endpoint.distance_to(PlanarPoint(-2, 0)) < 1e-12
 
     def test_flattening_matches_endpoint(self):
         for target, t in ((PlanarPoint(1.2, 2.0), 3.0), (PlanarPoint(-0.4, -1.0), 4.0)):
             rho = distance(t, target)
-            path = dubins_path(t, target, rho + 1e-9, rho + 1e-9)
+            path = DUBINS_CAR.path(t, target, rho + 1e-9, rho + 1e-9)
             flattened = DUBINS_CAR.sample_path(path)
             assert flattened[-1].distance_to(path.endpoint) < 1e-9
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            dubins_path(0.5, PlanarPoint(0, 5), 0.1, 0.1)
+            DUBINS_CAR.path(0.5, PlanarPoint(0, 5), 0.1, 0.1)
 
 
 class TestGeometryRecord:

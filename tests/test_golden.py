@@ -9,7 +9,9 @@ where ``contains`` and ``distance == 0`` can disagree by rounding. Any change to
 moves one of these by a single ulp fails here. Finally it holds the SHA-256
 digest of the ``render_svg`` document of every shipped scenario and of the
 showcase Lissajous solve of ``scripts/plot_interception.py`` on both plants,
-so a change to how plants are drawn must keep every SVG byte-identical.
+so a change to how plants are drawn must keep every SVG byte-identical, and
+one SHA-256 digest over seeded solve documents and ``plant.path`` answers,
+so a change to how plants build paths must keep every path bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from intercept import (
     EstimatorKind,
     PlanarPoint,
     dubins,
+    emit_result,
     get_plant,
+    make_line_trajectory,
     make_lissajous_trajectory,
     parse_scenario,
     render_svg,
@@ -122,3 +126,39 @@ def test_svg_is_byte_identical(case):
     times = [t for t, _ in result.trace.iterates if t > 0]
     svg = render_svg(plant, trajectory, result, times)
     assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == GOLDEN["svg"][name]
+
+
+def path_documents():
+    """Texts that spell out every path value of both plants bit for bit.
+
+    ``emit_result`` of seeded line solves for each ell in {0, 0.05, 0.3} and
+    epsilon in {1e-9, 1e-6, 1e-3}, then ``repr(plant.path(...))`` at seeded
+    points on both sides of the y-axis and on it (x = 0.0 and x = -0.0),
+    each queried with its own distance plus 1e-9 as the reach.
+    """
+    rng = random.Random(7)
+    for plant_name in ("simple", "dubins"):
+        plant = get_plant(plant_name)
+        for ell in (0.0, 0.05, 0.3):
+            for epsilon in (1e-9, 1e-6, 1e-3):
+                for _ in range(32):
+                    trajectory = make_line_trajectory(
+                        rng.uniform(-3.0, 3.0),
+                        rng.uniform(-3.0, 3.0),
+                        rng.uniform(0.0, 2.0 * math.pi),
+                        rng.uniform(0.0, 0.9),
+                    )
+                    yield emit_result(solve(plant, trajectory, CaptureSpec(ell, epsilon)))
+        for i in range(3000):
+            x = (0.0, -0.0)[i % 2] if i % 10 < 2 else rng.uniform(-4.0, 4.0)
+            point = PlanarPoint(x, rng.uniform(-4.0, 4.0))
+            t = rng.uniform(0.0, 8.0)
+            rho = plant.distance(t, point)
+            yield repr(plant.path(t, point, 0.1, rho + 1e-9))
+
+
+def test_paths_are_bit_identical():
+    digest = hashlib.sha256()
+    for text in path_documents():
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN["paths"]

@@ -132,6 +132,23 @@ class TestParseScenario:
             parse_scenario(text)
         assert exc.value.field == "samples[1]"
 
+    @pytest.mark.parametrize(
+        "samples, index",
+        [
+            ("[[1, [0, 0]], [2, [1, 1]]]", "#0"),
+            ("[[0, [0, 0]], [1, [1, 1]], [1, [2, 2]]]", "#2"),
+            ("[[0, [0, 0]], [2, [1, 1]], [1, [2, 2]]]", "#2"),
+        ],
+    )
+    def test_sample_order_names_the_samples(self, samples, index):
+        text = (
+            '{"plant": "simple", "trajectory": {"kind": "piecewise_linear"}, '
+            '"samples": %s, "capture": {"ell": 0.1, "epsilon": 1e-6}}'
+        ) % samples
+        with pytest.raises(ScenarioError, match=index) as exc:
+            parse_scenario(text)
+        assert exc.value.field == "samples"
+
     def test_bool_is_not_a_number(self):
         doc = json.loads(MINIMAL)
         doc["capture"]["ell"] = True

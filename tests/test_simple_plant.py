@@ -10,7 +10,6 @@ from intercept.plants import (
     WAIT,
     get_plant,
     simple_distance,
-    simple_path,
 )
 
 times = st.floats(min_value=0, max_value=20, allow_nan=False)
@@ -84,19 +83,19 @@ class TestLipschitz:
 
 class TestPath:
     def test_exact_capture(self):
-        path = simple_path(0.9, PlanarPoint(0, 1), 0.1, 0.1)
+        path = SIMPLE_MOTIONS.path(0.9, PlanarPoint(0, 1), 0.1, 0.1)
         assert [s.kind for s in path.segments] == [STRAIGHT]
         assert path.segments[0].duration == pytest.approx(0.9)
         assert path.endpoint.x == pytest.approx(0.0)
         assert path.endpoint.y == pytest.approx(0.9)
 
     def test_degenerate_at_origin(self):
-        path = simple_path(0.0, PlanarPoint(0, 0), 0.0, 0.0)
-        assert path.total_duration == 0.0
+        path = SIMPLE_MOTIONS.path(0.0, PlanarPoint(0, 0), 0.0, 0.0)
+        assert sum(s.duration for s in path.segments) == 0.0
         assert path.endpoint == PlanarPoint(0.0, 0.0)
 
     def test_captured_at_start_pads_with_wait(self):
-        path = simple_path(2.0, PlanarPoint(1, 0), 1.0, 1.0)
+        path = SIMPLE_MOTIONS.path(2.0, PlanarPoint(1, 0), 1.0, 1.0)
         assert [s.kind for s in path.segments] == [STRAIGHT, WAIT]
         assert path.segments[0].duration == 0.0
         assert path.segments[1].duration == 2.0
@@ -104,18 +103,19 @@ class TestPath:
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            simple_path(0.1, PlanarPoint(5, 0), 0.1, 0.1)
+            SIMPLE_MOTIONS.path(0.1, PlanarPoint(5, 0), 0.1, 0.1)
 
     @given(times, points, st.floats(0, 1))
     def test_path_invariants(self, t_star, y, ell):
         if simple_distance(t_star, y) > ell:
             return
-        path = simple_path(t_star, y, ell, ell)
-        assert path.total_duration == pytest.approx(t_star, abs=1e-9)
-        assert simple_distance(path.total_duration, path.endpoint) <= 1e-9
+        path = SIMPLE_MOTIONS.path(t_star, y, ell, ell)
+        duration = sum(s.duration for s in path.segments)
+        assert duration == pytest.approx(t_star, abs=1e-9)
+        assert simple_distance(duration, path.endpoint) <= 1e-9
 
     def test_sample_path_reaches_endpoint(self):
-        path = simple_path(0.9, PlanarPoint(0, 1), 0.1, 0.1)
+        path = SIMPLE_MOTIONS.path(0.9, PlanarPoint(0, 1), 0.1, 0.1)
         pts = SIMPLE_MOTIONS.sample_path(path)
         assert pts[0] == PlanarPoint(0.0, 0.0)
         assert pts[-1].distance_to(path.endpoint) < 1e-12

@@ -21,6 +21,7 @@ from intercept.solver import (
     best_estimator,
     grid_oracle,
     refine_ground_truth,
+    refine_iterates,
     simple_estimator,
     solve,
 )
@@ -179,6 +180,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="t = 0"):
             solve(plant, traj, CaptureSpec(0.1, 1e-6))
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf])
+    def test_non_finite_distance_at_start_is_rejected(self, rho):
+        # a NaN distance once ended the loop as a capture at t = 0
+        class BrokenPlant(PlantModel):
+            def distance(self, t, y):
+                return rho
+
+        traj = make_line_trajectory(0, 1, 0, 0.5)
+        with pytest.raises(ValueError, match="t = 0"):
+            solve(BrokenPlant(), traj, CaptureSpec(0.1, 1e-6))
+
     def test_step_underflow_flags_unreachable(self):
         class FrozenDistancePlant(PlantModel):
             name = "frozen"
@@ -224,7 +236,8 @@ class TestSolve:
         assert result.status is SolveStatus.INTERCEPTED
         assert 1.0 + 1e-6 < result.trace.final_distance <= 1.0 * (1 + 1e-3)
         assert result.path is not None
-        assert result.path.total_duration == pytest.approx(result.t_star, abs=1e-12)
+        duration = sum(s.duration for s in result.path.segments)
+        assert duration == pytest.approx(result.t_star, abs=1e-12)
         assert plant.distance(result.t_star, result.path.endpoint) <= 1e-9
         gap = traj.position(result.t_star).distance_to(result.path.endpoint)
         assert gap <= 1.0 * (1 + 1e-3)
@@ -251,7 +264,8 @@ class TestSolve:
         if result.status is SolveStatus.INTERCEPTED:
             assert result.trace.final_distance <= 0.1 * (1 + 1e-6)
             assert result.path is not None
-            assert result.path.total_duration == pytest.approx(result.t_star, abs=1e-9)
+            duration = sum(s.duration for s in result.path.segments)
+            assert duration == pytest.approx(result.t_star, abs=1e-9)
 
     def test_both_estimators_agree_on_these_plants(self):
         traj = make_line_trajectory(-1, -2, math.pi / 4, 0.5)
@@ -289,6 +303,17 @@ class TestRefineGroundTruth:
         traj = make_line_trajectory(0, 1, math.pi / 2, 2.0)
         with pytest.raises(ConvergenceError):
             refine_ground_truth(SIMPLE_MOTIONS, traj, 0.1, max_iterations=1000)
+
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    def test_target_fleeing_to_infinity_raises(self, plant):
+        # t overflows first on the simple plant (once returned as t_ref = inf),
+        # the target position first on the Dubins plant (once an AssertionError)
+        traj = make_line_trajectory(0, 1, math.pi / 2, 1.5)
+        times = []
+        with pytest.raises(ConvergenceError, match="not finite"):
+            times.extend(refine_iterates(plant, traj, 0.1))
+        assert len(times) > 1000
+        assert all(math.isfinite(t) for t in times)
 
 
 class TestGridOracle:
