@@ -3,7 +3,8 @@
 The capture time is the smallest root of g(t) = distance(t, target(t)) - ell.
 Because g is (1 + v)-Lipschitz, the step (g / (1 + v)) can never jump over
 the root, so the iteration t <- t + step converges to it monotonically from
-below for every target path within the declared speed bound.
+below for every target path within the declared speed bound. One loop,
+``_iterates``, runs it; ``solve`` and ``refine_iterates`` are two stop rules.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory
 from .plants import InterceptionPath, PlantModel
@@ -76,6 +77,38 @@ def best_estimator(
     return plant.best_step(t, y, rho, v, ell)
 
 
+def _iterates(
+    plant: PlantModel, trajectory: TargetTrajectory, ell: float, reach: float, step: Callable
+) -> Iterator[tuple[float, PlanarPoint, float, float | None]]:
+    """Yield ``(t, y, rho, t_next)`` from t = 0; t_next is evaluated only when resumed.
+
+    ``t_next`` is None once ``rho <= reach``. Stops after the first non-finite
+    step, target position or distance.
+    """
+    v = trajectory.speed_bound
+    if not math.isfinite(v):
+        raise ValueError("trajectory speed bound must be finite")
+    t = 0.0
+    while True:
+        y = trajectory.position(t)
+        # a target that outruns the plant drives t, then its position, then
+        # the distance to infinity or NaN: no capture, and no such iterate
+        if not (math.isfinite(y.x) and math.isfinite(y.y)):
+            if t == 0.0:
+                raise ValueError(f"target position at t = 0 must be finite, got {y}")
+            return
+        rho = plant.distance(t, y)
+        if not math.isfinite(rho):
+            if t == 0.0:
+                raise ValueError(f"plant distance at t = 0 must be finite, got {rho}")
+            return
+        t_next = step(plant, t, y, rho, v, ell) if rho > reach else None
+        yield t, y, rho, t_next
+        if t_next is None or not math.isfinite(t_next):
+            return
+        t = t_next
+
+
 def solve(
     plant: PlantModel,
     trajectory: TargetTrajectory,
@@ -90,56 +123,29 @@ def solve(
     consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
     infinite capture time cannot be certified in finite time). A step to a
     non-finite time, target position or distance also ends the solve as
-    ``UNREACHABLE``, at the last finite iterate; a non-finite target position
-    or distance at t = 0 raises ValueError. For ell = 0 the relative threshold
-    degenerates, so ``EPSILON_ABS`` is used instead. An intercepted result
-    carries the plant's path, or None if the plant does not reconstruct paths.
+    ``UNREACHABLE``, at the last finite iterate; a non-finite speed bound, or
+    target position or distance at t = 0, raises ValueError. For ell = 0 the
+    relative threshold degenerates, so ``EPSILON_ABS`` is used instead. An
+    intercepted result carries the plant's path, or None if the plant builds none.
     """
-    v = trajectory.speed_bound
-    if not math.isfinite(v):
-        raise ValueError("trajectory speed bound must be finite")
     ell = capture.ell
     threshold = ell * (1.0 + capture.epsilon) if ell > 0 else EPSILON_ABS
+    step = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
 
-    step_fn = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
-
-    t = 0.0
-    y = trajectory.position(t)
-    if not (math.isfinite(y.x) and math.isfinite(y.y)):
-        raise ValueError(f"target position at t = 0 must be finite, got {y}")
-    rho = plant.distance(t, y)
-    if not math.isfinite(rho):
-        raise ValueError(f"plant distance at t = 0 must be finite, got {rho}")
-    iterates = [(t, rho)]
+    iterates = []
     underflow_run = 0
-    status = SolveStatus.INTERCEPTED
-    while rho > threshold:
+    status = SolveStatus.UNREACHABLE
+    for t, y, rho, t_next in _iterates(plant, trajectory, ell, threshold, step):
+        iterates.append((t, rho))
+        if underflow_run >= 10:
+            break
+        if t_next is None:
+            status = SolveStatus.INTERCEPTED
+            break
         if len(iterates) - 1 >= max_iterations:
             status = SolveStatus.BUDGET
             break
-        t_next = step_fn(plant, t, y, rho, v, ell)
-        # a target that outruns the plant drives t, then its position, then
-        # the distance to infinity or NaN: no capture, and no such iterate
-        if not math.isfinite(t_next):
-            status = SolveStatus.UNREACHABLE
-            break
-        y_next = trajectory.position(t_next)
-        if not (math.isfinite(y_next.x) and math.isfinite(y_next.y)):
-            status = SolveStatus.UNREACHABLE
-            break
-        rho_next = plant.distance(t_next, y_next)
-        if not math.isfinite(rho_next):
-            status = SolveStatus.UNREACHABLE
-            break
-        if t_next - t < 1e-15 * (1.0 + t_next):
-            underflow_run += 1
-        else:
-            underflow_run = 0
-        t, y, rho = t_next, y_next, rho_next
-        iterates.append((t, rho))
-        if underflow_run >= 10:
-            status = SolveStatus.UNREACHABLE
-            break
+        underflow_run = underflow_run + 1 if t_next - t < 1e-15 * (1.0 + t_next) else 0
 
     path = None
     if status is SolveStatus.INTERCEPTED:
@@ -161,32 +167,24 @@ def refine_iterates(
 
     Replaces the relative stopping rule with a step-size tolerance of
     ``1e-14 * (1 + t)`` so the last time is accurate to near machine
-    precision for transversal approaches; it is the reference capture time.
-    A non-finite step, target position or distance raises ConvergenceError,
-    as when a target that outruns the plant drives t past the float range.
+    precision for transversal approaches; it is the reference capture time,
+    yielded unevaluated. Raises ValueError as ``solve`` does, and
+    ConvergenceError on a later non-finite step, target position or distance.
     """
-    v = trajectory.speed_bound
-    t = 0.0
-    yield t
-    for _ in range(max_iterations):
-        y = trajectory.position(t)
-        if not (math.isfinite(y.x) and math.isfinite(y.y)):
-            raise ConvergenceError(f"target position at t = {t} is not finite: {y}")
-        rho = plant.distance(t, y)
-        if not math.isfinite(rho):
-            raise ConvergenceError(f"distance at t = {t} is not finite: {rho}")
-        if rho <= ell:
+    for n, (t, _, _, t_next) in enumerate(_iterates(plant, trajectory, ell, ell, best_estimator)):
+        if n == 0:
+            yield t
+        if t_next is None:
             return
-        t_next = best_estimator(plant, t, y, rho, v, ell)
+        # inf - t <= 1e-14 * (1 + inf) holds: an infinite step would pass as converged
         if not math.isfinite(t_next):
-            raise ConvergenceError(f"step from t = {t} is not finite: {t_next}")
+            break
         yield t_next
         if t_next - t <= 1e-14 * (1.0 + t_next):
             return
-        t = t_next
-    raise ConvergenceError(
-        f"no convergence within {max_iterations} iterations (capture may be unreachable)"
-    )
+        if n + 1 >= max_iterations:
+            raise ConvergenceError(f"no convergence within {max_iterations} iterations")
+    raise ConvergenceError(f"the iterate after t = {t} is not finite (t_next = {t_next})")
 
 
 def refine_ground_truth(

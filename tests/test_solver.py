@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from intercept.benchmarks import CAPTURE_RADIUS, PRECISIONS, benchmark_rows
 from intercept.core import (
     CaptureSpec,
     PlanarPoint,
@@ -12,7 +13,7 @@ from intercept.core import (
     make_piecewise_linear_trajectory,
 )
 from intercept.dubins import DUBINS_CAR
-from intercept.plants import SIMPLE_MOTIONS, PlantModel
+from intercept.plants import PLANT_NAMES, SIMPLE_MOTIONS, PlantModel, get_plant
 from intercept.solver import (
     EPSILON_ABS,
     ConvergenceError,
@@ -32,6 +33,13 @@ coords = st.floats(min_value=-8, max_value=8, allow_nan=False)
 points = st.builds(PlanarPoint, coords, coords)
 speeds = st.floats(min_value=0, max_value=2, allow_nan=False)
 radii = st.floats(min_value=0, max_value=0.5, allow_nan=False)
+
+# the two stop rules over the one fixed-point loop, on the same inputs
+ENTRY_POINTS = {
+    "solve": lambda plant, traj: solve(plant, traj, CaptureSpec(0.1, 1e-6)),
+    "refine": lambda plant, traj: refine_ground_truth(plant, traj, 0.1),
+}
+entry_points = pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
 
 
 class HiddenStepPlant(PlantModel):
@@ -173,23 +181,35 @@ class TestSolve:
         assert all(math.isfinite(t) and math.isfinite(rho) for t, rho in result.trace.iterates)
         assert result.t_star == result.trace.iterates[-1][0]
 
+    @entry_points
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     @pytest.mark.parametrize("x", [math.nan, math.inf])
-    def test_non_finite_start_is_rejected(self, plant, x):
+    def test_non_finite_start_is_rejected(self, entry, plant, x):
+        # refine_ground_truth once raised ConvergenceError here
         traj = make_custom_trajectory(lambda t: PlanarPoint(x, 0.0), 1.0)
         with pytest.raises(ValueError, match="t = 0"):
-            solve(plant, traj, CaptureSpec(0.1, 1e-6))
+            entry(plant, traj)
 
+    @entry_points
     @pytest.mark.parametrize("rho", [math.nan, math.inf])
-    def test_non_finite_distance_at_start_is_rejected(self, rho):
-        # a NaN distance once ended the loop as a capture at t = 0
+    def test_non_finite_distance_at_start_is_rejected(self, entry, rho):
+        # a NaN distance once ended the solve as a capture at t = 0
         class BrokenPlant(PlantModel):
             def distance(self, t, y):
                 return rho
 
         traj = make_line_trajectory(0, 1, 0, 0.5)
         with pytest.raises(ValueError, match="t = 0"):
-            solve(BrokenPlant(), traj, CaptureSpec(0.1, 1e-6))
+            entry(BrokenPlant(), traj)
+
+    @entry_points
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_speed_bound_is_rejected(self, entry, plant, bound):
+        # refine_ground_truth once returned 0.0 here on the Dubins plant
+        traj = make_custom_trajectory(lambda t: PlanarPoint(0.0, 5.0), bound)
+        with pytest.raises(ValueError, match="speed bound"):
+            entry(plant, traj)
 
     def test_step_underflow_flags_unreachable(self):
         class FrozenDistancePlant(PlantModel):
@@ -303,6 +323,11 @@ class TestRefineGroundTruth:
         traj = make_line_trajectory(0, 1, math.pi / 2, 2.0)
         with pytest.raises(ConvergenceError):
             refine_ground_truth(SIMPLE_MOTIONS, traj, 0.1, max_iterations=1000)
+        # the budget allows max_iterations steps: t_0 and five more times
+        times = []
+        with pytest.raises(ConvergenceError, match="within 5 iterations"):
+            times.extend(refine_iterates(SIMPLE_MOTIONS, traj, 0.1, max_iterations=5))
+        assert len(times) == 6
 
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     def test_target_fleeing_to_infinity_raises(self, plant):
@@ -314,6 +339,19 @@ class TestRefineGroundTruth:
             times.extend(refine_iterates(plant, traj, 0.1))
         assert len(times) > 1000
         assert all(math.isfinite(t) for t in times)
+
+
+@pytest.mark.parametrize("plant_name", PLANT_NAMES)
+def test_solve_iterates_are_a_prefix_of_refine_iterates(plant_name):
+    # one fixed-point loop: solve and refine_iterates differ only in when they stop
+    plant = get_plant(plant_name)
+    for row in benchmark_rows():
+        times = list(refine_iterates(plant, row.trajectory, CAPTURE_RADIUS))
+        for epsilon in PRECISIONS:
+            result = solve(plant, row.trajectory, CaptureSpec(CAPTURE_RADIUS, epsilon))
+            assert result.status is SolveStatus.INTERCEPTED
+            solved = [t for t, _ in result.trace.iterates]
+            assert solved == times[: len(solved)], (row.label, epsilon)
 
 
 class TestGridOracle:
