@@ -10,9 +10,10 @@ below for every target path within the declared speed bound. One loop,
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory
 from .plants import InterceptionPath, PlantModel
@@ -77,19 +78,17 @@ def best_estimator(
     return plant.best_step(t, y, rho, v, ell)
 
 
-def _iterates(
-    plant: PlantModel, trajectory: TargetTrajectory, ell: float, reach: float, step: Callable
-) -> Iterator[tuple[float, PlanarPoint, float, float | None]]:
+def _iterates(plant, trajectory, ell, reach, step, max_steps):
     """Yield ``(t, y, rho, t_next)`` from t = 0; t_next is evaluated only when resumed.
 
-    ``t_next`` is None once ``rho <= reach``. Stops after the first non-finite
-    step, target position or distance.
+    ``t_next`` is None once ``rho <= reach`` or after ``max_steps`` steps. Stops
+    after the first non-finite step, target position or distance.
     """
     v = trajectory.speed_bound
     if not math.isfinite(v):
         raise ValueError("trajectory speed bound must be finite")
     t = 0.0
-    while True:
+    for n in itertools.count():
         y = trajectory.position(t)
         # a target that outruns the plant drives t, then its position, then
         # the distance to infinity or NaN: no capture, and no such iterate
@@ -102,7 +101,7 @@ def _iterates(
             if t == 0.0:
                 raise ValueError(f"plant distance at t = 0 must be finite, got {rho}")
             return
-        t_next = step(plant, t, y, rho, v, ell) if rho > reach else None
+        t_next = step(plant, t, y, rho, v, ell) if rho > reach and n < max_steps else None
         yield t, y, rho, t_next
         if t_next is None or not math.isfinite(t_next):
             return
@@ -135,15 +134,12 @@ def solve(
     iterates = []
     underflow_run = 0
     status = SolveStatus.UNREACHABLE
-    for t, y, rho, t_next in _iterates(plant, trajectory, ell, threshold, step):
+    for t, y, rho, t_next in _iterates(plant, trajectory, ell, threshold, step, max_iterations):
         iterates.append((t, rho))
         if underflow_run >= 10:
             break
         if t_next is None:
-            status = SolveStatus.INTERCEPTED
-            break
-        if len(iterates) - 1 >= max_iterations:
-            status = SolveStatus.BUDGET
+            status = SolveStatus.INTERCEPTED if rho <= threshold else SolveStatus.BUDGET
             break
         underflow_run = underflow_run + 1 if t_next - t < 1e-15 * (1.0 + t_next) else 0
 
@@ -168,10 +164,14 @@ def refine_iterates(
     Replaces the relative stopping rule with a step-size tolerance of
     ``1e-14 * (1 + t)`` so the last time is accurate to near machine
     precision for transversal approaches; it is the reference capture time,
-    yielded unevaluated. Raises ValueError as ``solve`` does, and
-    ConvergenceError on a later non-finite step, target position or distance.
+    yielded unevaluated. Raises ValueError as ``solve`` does or if
+    ``max_iterations < 1``, and ConvergenceError after ``max_iterations``
+    steps or on a later non-finite step, target position or distance.
     """
-    for n, (t, _, _, t_next) in enumerate(_iterates(plant, trajectory, ell, ell, best_estimator)):
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    iterates = _iterates(plant, trajectory, ell, ell, best_estimator, max_iterations)
+    for n, (t, _, _, t_next) in enumerate(iterates):
         if n == 0:
             yield t
         if t_next is None:
@@ -182,6 +182,7 @@ def refine_iterates(
         yield t_next
         if t_next - t <= 1e-14 * (1.0 + t_next):
             return
+        # before resuming, so the budget's last time is yielded but not evaluated
         if n + 1 >= max_iterations:
             raise ConvergenceError(f"no convergence within {max_iterations} iterations")
     raise ConvergenceError(f"the iterate after t = {t} is not finite (t_next = {t_next})")

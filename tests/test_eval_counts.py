@@ -10,6 +10,7 @@ Every trajectory kind is evaluated once per iterate through
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import pytest
@@ -28,6 +29,7 @@ from intercept import (
     parse_scenario,
     plants,
     solve,
+    solver,
 )
 from intercept.benchmarks import run_table
 
@@ -111,3 +113,26 @@ def test_every_kind_is_evaluated_through_position(monkeypatch, traj):
     result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))
     assert result.trace.iteration_count > 0
     assert calls == result.trace.iteration_count + 1  # one per iterate
+
+
+def test_budget_stops_take_only_the_allowed_steps(distance_calls, monkeypatch):
+    # a budget of n steps costs n steps: solve evaluates each time it stepped
+    # to, refine_iterates yields its last time without evaluating it
+    steps = 0
+    original = solver.best_estimator
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "best_estimator", counting)
+    traj = make_line_trajectory(0, 1, math.pi / 2, 2.0)  # outruns the plant
+    result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6), max_iterations=50)
+    assert result.trace.iteration_count == 50
+    assert (steps, distance_calls["simple"]) == (50, 51)
+
+    steps = distance_calls["simple"] = 0
+    with pytest.raises(solver.ConvergenceError):
+        list(solver.refine_iterates(SIMPLE_MOTIONS, traj, 0.1, max_iterations=5))
+    assert (steps, distance_calls["simple"]) == (5, 5)

@@ -329,6 +329,13 @@ class TestRefineGroundTruth:
             times.extend(refine_iterates(SIMPLE_MOTIONS, traj, 0.1, max_iterations=5))
         assert len(times) == 6
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_budget_below_one_is_rejected(self, max_iterations):
+        # the budget counts steps; one of none is rejected, even for a target already caught
+        near = make_line_trajectory(0, 0.05, 0, 0.0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            list(refine_iterates(SIMPLE_MOTIONS, near, 0.1, max_iterations=max_iterations))
+
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     def test_target_fleeing_to_infinity_raises(self, plant):
         # t overflows first on the simple plant (once returned as t_ref = inf),
