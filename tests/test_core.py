@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +95,41 @@ class TestLissajousTrajectory:
         assert strict.speed_bound == pytest.approx(1.5 * math.sqrt(2))
 
 
+_SHORT_TRACK = (
+    [
+        (0.0, PlanarPoint(0.0, 0.0)),
+        (0.5, PlanarPoint(1.0, -2.0)),
+        (1.25, PlanarPoint(1.5, 0.25)),
+        (3.0, PlanarPoint(-1.0, 3.0)),
+    ],
+    [-1.0, -1e-300, 0.0, 0.5, 1.25, 3.0]
+    + [1e-300, 0.1, 0.5 + 1e-12, 1.0, 1.25 - 1e-12, 2.9999999999999996]
+    + [3.0 + 1e-12, 1e9],
+)
+
+
+def _recorded_track():
+    """A seeded 5,000-sample walk with 4-decimal positions, and its query times.
+
+    The queries are every sample time, seeded times in between, times before
+    0 and times after the last sample.
+    """
+    rng = random.Random(5000)
+    t, x, y = 0.0, rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)
+    pts = [(t, PlanarPoint(round(x, 4), round(y, 4)))]
+    for _ in range(4999):
+        dt = rng.choice((0.05, 0.1, 0.2))
+        t = round(t + dt, 3)
+        x += rng.uniform(-0.8, 0.8) * dt
+        y += rng.uniform(-0.8, 0.8) * dt
+        pts.append((t, PlanarPoint(round(x, 4), round(y, 4))))
+    end = pts[-1][0]
+    between = [rng.uniform(0.0, end) for _ in range(5000)]
+    between += [t0 + rng.random() * (t1 - t0) for (t0, _), (t1, _) in zip(pts, pts[1:])]
+    outside = [-1e9, -1.0, -1e-300, -0.0, end + 1e-9, end + 1.0, 1e9, math.inf]
+    return pts, [t for t, _ in pts] + between + outside
+
+
 class TestPiecewiseLinearTrajectory:
     def test_midpoint(self):
         traj = make_piecewise_linear_trajectory(
@@ -118,13 +154,9 @@ class TestPiecewiseLinearTrajectory:
         assert traj.speed_bound == 0.0
         assert traj.position(5.0) == PlanarPoint(2, 3)
 
-    def test_position_matches_linear_scan_bit_for_bit(self):
-        pts = [
-            (0.0, PlanarPoint(0.0, 0.0)),
-            (0.5, PlanarPoint(1.0, -2.0)),
-            (1.25, PlanarPoint(1.5, 0.25)),
-            (3.0, PlanarPoint(-1.0, 3.0)),
-        ]
+    @pytest.mark.parametrize("track", ["short", "recorded"])
+    def test_position_matches_linear_scan_bit_for_bit(self, track):
+        pts, queries = _SHORT_TRACK if track == "short" else _recorded_track()
         traj = make_piecewise_linear_trajectory(pts)
 
         def scan(t):
@@ -132,17 +164,22 @@ class TestPiecewiseLinearTrajectory:
                 return pts[0][1]
             if t >= pts[-1][0]:
                 return pts[-1][1]
-            i = next(i for i, (ti, _) in enumerate(pts) if ti > t)
+            nonlocal i
+            while pts[i][0] <= t:
+                i += 1
             (t0, p0), (t1, p1) = pts[i - 1], pts[i]
             w = (t - t0) / (t1 - t0)
             return PlanarPoint(p0.x + w * (p1.x - p0.x), p0.y + w * (p1.y - p0.y))
 
-        before = [-1.0, -1e-300]
-        at = [t for t, _ in pts]
-        between = [1e-300, 0.1, 0.5 + 1e-12, 1.0, 1.25 - 1e-12, 2.9999999999999996]
-        after = [3.0 + 1e-12, 1e9]
-        for t in before + at + between + after:
-            assert traj.position(t) == scan(t), t
+        # the scan walks forward, so it takes the queries in time order
+        i = 1
+        for t in sorted(queries):
+            assert repr(traj.position(t)) == repr(scan(t)), t
+        bound = max(
+            math.hypot(p1.x - p0.x, p1.y - p0.y) / (t1 - t0)
+            for (t0, p0), (t1, p1) in zip(pts, pts[1:])
+        )
+        assert traj.speed_bound == bound
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):

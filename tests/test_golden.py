@@ -12,6 +12,10 @@ showcase Lissajous solve of ``scripts/plot_interception.py`` on both plants,
 so a change to how plants are drawn must keep every SVG byte-identical, and
 one SHA-256 digest over seeded solve documents and ``plant.path`` answers,
 so a change to how plants build paths must keep every path bit-identical.
+Last, for three seeded recorded-track documents (200, 1,000 and 5,000
+samples written as a mix of integer and float literals), it holds the SHA-256
+of the re-emitted scenario and of the solve's result document, so a change
+to how tracks are parsed, stored or evaluated must keep both byte-identical.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from intercept import (
     PlanarPoint,
     dubins,
     emit_result,
+    emit_scenario,
     get_plant,
     make_line_trajectory,
     make_lissajous_trajectory,
@@ -162,3 +167,60 @@ def test_paths_are_bit_identical():
     for text in path_documents():
         digest.update(text.encode("utf-8"))
     assert digest.hexdigest() == GOLDEN["paths"]
+
+
+TRACKS = {
+    "track_200_dubins": (200, "dubins", 0.1, 1e-6),
+    "track_1000_simple": (1000, "simple", 0.5, 1e-9),
+    "track_5000_dubins": (5000, "dubins", 0.05, 1e-3),
+}
+
+
+def track_document(name: str) -> str:
+    """A seeded recorded-track scenario document.
+
+    The target walks on a grid of 1/16 with time steps of 1/4 or 1/2, and
+    half of its positions are moved off the grid to 4 decimals. Integral
+    values are written as integer literals half of the time.
+    """
+    n_samples, plant, ell, epsilon = TRACKS[name]
+    rng = random.Random(n_samples)
+
+    def literal(value: float) -> float | int:
+        return int(value) if value.is_integer() and rng.random() < 0.5 else value
+
+    bearing = rng.uniform(0.0, 2.0 * math.pi)
+    reach = rng.uniform(3.0, 15.0)
+    t = 0.0
+    x, y = float(round(reach * math.cos(bearing))), float(round(reach * math.sin(bearing)))
+    samples = []
+    for _ in range(n_samples):
+        px, py = x, y
+        if rng.random() < 0.5:
+            px, py = round(x + rng.uniform(-0.01, 0.01), 4), round(y + rng.uniform(-0.01, 0.01), 4)
+        samples.append([literal(t), [literal(px), literal(py)]])
+        t += rng.choice((0.25, 0.5))
+        x += rng.choice((-1, 0, 1)) * 0.0625
+        y += rng.choice((-1, 0, 1)) * 0.0625
+    doc = {
+        "plant": plant,
+        "trajectory": {"kind": "piecewise_linear"},
+        "samples": samples,
+        "capture": {"ell": ell, "epsilon": epsilon},
+        "horizon": 1000.0,
+    }
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", sorted(TRACKS))
+def test_track_documents_are_byte_identical(name):
+    scenario = parse_scenario(track_document(name))
+    result = solve(
+        get_plant(scenario.plant), scenario.trajectory, scenario.capture, scenario.estimator
+    )
+    assert result.status.value == "intercepted"
+    got = {
+        "scenario": hashlib.sha256(emit_scenario(scenario).encode("utf-8")).hexdigest(),
+        "result": hashlib.sha256(emit_result(result).encode("utf-8")).hexdigest(),
+    }
+    assert got == GOLDEN["tracks"][name]

@@ -118,7 +118,9 @@ class TestParseScenario:
             parse_scenario(text)
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "true", "null", '"1"']
+    )
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_non_finite_sample_names_the_sample(self, literal, slot):
         numbers = ["0", "1", "2"]
@@ -129,6 +131,16 @@ class TestParseScenario:
             '"capture": {"ell": 0.1, "epsilon": 1e-6}}'
         ) % tuple(numbers)
         with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(text)
+        assert exc.value.field == "samples[1]"
+
+    @pytest.mark.parametrize("entry", ["[0, [1]]", "[0, [1, 2, 3]]", "[0, 1, 2]", '{"t": 0}'])
+    def test_malformed_sample_names_the_sample(self, entry):
+        text = (
+            '{"plant": "simple", "trajectory": {"kind": "piecewise_linear"}, '
+            '"samples": [[0, [0, 0]], %s], "capture": {"ell": 0.1, "epsilon": 1e-6}}'
+        ) % entry
+        with pytest.raises(ScenarioError, match=r"\[t, \[x, y\]\]") as exc:
             parse_scenario(text)
         assert exc.value.field == "samples[1]"
 
