@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Iterable
 
 
 @dataclass(frozen=True)
@@ -150,43 +149,45 @@ class LissajousTrajectory(TargetTrajectory):
 class PiecewiseLinearTrajectory(TargetTrajectory):
     """Linear interpolation through time-stamped points, constant after the last.
 
-    Sample times must be strictly increasing and start at t = 0. The speed
-    bound is the maximum segment speed (0 for a single sample).
+    The sample columns are ``times`` (from t = 0, strictly increasing), ``xs``
+    and ``ys``. The speed bound is the maximum segment speed (0 for one sample).
     """
 
     kind = "piecewise_linear"
-    samples: tuple[tuple[float, PlanarPoint], ...]
+    times: tuple[float, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     speed_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        samples = tuple((float(t), p) for t, p in self.samples)
-        if len(samples) == 0:
+        columns = times, xs, ys = [tuple(map(float, c)) for c in (self.times, self.xs, self.ys)]
+        if not len(times) == len(xs) == len(ys):
+            raise ValueError(f"sample columns differ in length: {[len(c) for c in columns]}")
+        if len(times) == 0:
             raise ValueError("at least one sample is required")
-        if samples[0][0] != 0.0:
-            raise ValueError(f"sample #0 must be at t = 0, got t = {samples[0][0]}")
-        bound = 0.0
-        for i, ((t0, p0), (t1, p1)) in enumerate(zip(samples, samples[1:]), start=1):
+        if times[0] != 0.0:
+            raise ValueError(f"sample #0 must be at t = 0, got t = {times[0]}")
+        speeds = [0.0]
+        segments = zip(times, times[1:], xs, xs[1:], ys, ys[1:])
+        for i, (t0, t1, x0, x1, y0, y1) in enumerate(segments, start=1):
             if t1 <= t0:
                 raise ValueError(
                     f"sample times must be strictly increasing: sample #{i} is at "
                     f"t = {t1}, after t = {t0}"
                 )
-            bound = max(bound, p1.distance_to(p0) / (t1 - t0))
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "speed_bound", bound)
+            speeds.append(math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
+        for name, value in zip(("times", "xs", "ys", "speed_bound"), (*columns, max(speeds))):
+            object.__setattr__(self, name, value)
 
     def _at(self, t: float) -> PlanarPoint:
-        samples = self.samples
-        if t <= samples[0][0]:
-            return samples[0][1]
-        if t >= samples[-1][0]:
-            # target stops after the last sample
-            return samples[-1][1]
-        i = bisect_right(samples, t, key=itemgetter(0))
-        t0, p0 = samples[i - 1]
-        t1, p1 = samples[i]
-        w = (t - t0) / (t1 - t0)
-        return PlanarPoint(p0.x + w * (p1.x - p0.x), p0.y + w * (p1.y - p0.y))
+        times, xs, ys = self.times, self.xs, self.ys
+        if not times[0] < t < times[-1]:
+            i = 0 if t <= times[0] else -1  # the target stops after the last sample
+            return PlanarPoint(xs[i], ys[i])
+        i = bisect_right(times, t)
+        t0, x0, y0 = times[i - 1], xs[i - 1], ys[i - 1]
+        w = (t - t0) / (times[i] - t0)
+        return PlanarPoint(x0 + w * (xs[i] - x0), y0 + w * (ys[i] - y0))
 
 
 @dataclass(frozen=True)
@@ -207,8 +208,14 @@ class CustomTrajectory(TargetTrajectory):
 
 make_line_trajectory = LineTrajectory
 make_lissajous_trajectory = LissajousTrajectory
-make_piecewise_linear_trajectory = PiecewiseLinearTrajectory
 make_custom_trajectory = CustomTrajectory
+
+
+def make_piecewise_linear_trajectory(samples: Iterable) -> PiecewiseLinearTrajectory:
+    """The piecewise-linear target through ``(t, PlanarPoint)`` samples."""
+    pairs = list(samples)
+    times, points = [t for t, _ in pairs], [p for _, p in pairs]
+    return PiecewiseLinearTrajectory(times, [p.x for p in points], [p.y for p in points])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .plants import ARC, PLANT_NAMES, InterceptionPath, PathSegment
 from .solver import EstimatorKind, SolveResult, SolveStatus
 
 DEFAULT_HORIZON = 50.0
-_FLOAT_MAX = sys.float_info.max
+_MAX = sys.float_info.max
 
 TRAJECTORY_KINDS = {
     cls.kind: cls for cls in (LineTrajectory, LissajousTrajectory, PiecewiseLinearTrajectory)
@@ -51,21 +51,14 @@ class Scenario:
     horizon: float
 
 
-def _finite(value: Any) -> float | None:
-    """``value`` as a float if it is a finite JSON number (not a bool), else None."""
-    # NaN, the infinities and integers beyond the float range fail the range test
-    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        return float(value)
-    return None
-
-
 def _number(doc: dict, key: str, context: str) -> float:
     if key not in doc:
         raise ScenarioError(f"missing required field '{key}'", field=f"{context}{key}")
-    number = _finite(doc[key])
-    if number is None:
+    value = doc[key]
+    # NaN, the infinities and integers beyond the float range fail the range test
+    if type(value) not in (int, float) or not -_MAX <= value <= _MAX:
         raise ScenarioError(f"'{key}' must be a finite number", field=f"{context}{key}")
-    return number
+    return float(value)
 
 
 def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
@@ -77,20 +70,25 @@ def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
         )
 
 
-def _parse_samples(samples_doc: Any) -> list[tuple[float, PlanarPoint]]:
+def _parse_samples(samples_doc: Any) -> list[list[float]]:
     if not isinstance(samples_doc, list) or not samples_doc:
         raise ScenarioError("'samples' must be a non-empty list", field="samples")
-    samples = []
+    columns = times, xs, ys = [], [], []
     for i, entry in enumerate(samples_doc):
-        ok = isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
-        numbers = [_finite(v) for v in [entry[0], *entry[1]]] if ok else []
-        if len(numbers) != 3 or None in numbers:
+        try:
+            t, (x, y) = entry
+        except (TypeError, ValueError):
+            t = x = y = None
+        numbers = type(t) in (float, int) and type(x) in (float, int) and type(y) in (float, int)
+        if not (numbers and -_MAX <= t <= _MAX and -_MAX <= x <= _MAX and -_MAX <= y <= _MAX):
             raise ScenarioError(
                 f"sample #{i} must look like [t, [x, y]] with finite numbers",
                 field=f"samples[{i}]",
             )
-        samples.append((numbers[0], PlanarPoint(numbers[1], numbers[2])))
-    return samples
+        times.append(t)
+        xs.append(x)
+        ys.append(y)
+    return columns
 
 
 def _parse_trajectory(doc: dict, samples_doc: Any) -> TargetTrajectory:
@@ -109,23 +107,20 @@ def _parse_trajectory(doc: dict, samples_doc: Any) -> TargetTrajectory:
             f"{sorted(TRAJECTORY_KINDS)})",
             field="trajectory.kind",
         )
-    names = [f.name for f in fields(cls) if f.init]
-    _reject_unknown(doc, {"kind", *names} - {"samples"}, "trajectory.")
-    if ("samples" in names) != (samples_doc is not None):
+    # a track's only fields are its sample columns, the top-level ``samples``
+    track = cls is PiecewiseLinearTrajectory
+    numbers = [] if track else [f for f in fields(cls) if f.init]
+    _reject_unknown(doc, {"kind", *(f.name for f in numbers)}, "trajectory.")
+    if track != (samples_doc is not None):
         needed = "required" if samples_doc is None else "not valid"
         raise ScenarioError(f"'samples' is {needed} for {cls.kind} trajectories", field="samples")
-    values = {}
-    for f in fields(cls):
-        if f.name == "samples":
-            values["samples"] = _parse_samples(samples_doc)
-        elif f.init and (f.name in doc or f.default is MISSING):
-            values[f.name] = _number(doc, f.name, "trajectory.")
+    columns = _parse_samples(samples_doc) if track else ()
+    given = [f.name for f in numbers if f.name in doc or f.default is MISSING]
+    values = {name: _number(doc, name, "trajectory.") for name in given}
     try:
-        return cls(**values)
+        return cls(*columns, **values)
     except ValueError as exc:
-        # the only checks of a kind with samples are on the samples
-        field = "trajectory" if samples_doc is None else "samples"
-        raise ScenarioError(str(exc), field=field) from exc
+        raise ScenarioError(str(exc), field="samples" if track else "trajectory") from exc
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -187,11 +182,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     traj = scenario.trajectory
     if TRAJECTORY_KINDS.get(traj.kind) is not type(traj):
         raise ValueError(f"{traj.kind} trajectories cannot be serialized")
-    values = traj.scenario_fields()
-    samples = values.pop("samples", None)
+    track = isinstance(traj, PiecewiseLinearTrajectory)
+    values = {} if track else traj.scenario_fields()
     doc: dict[str, Any] = {"plant": scenario.plant, "trajectory": {"kind": traj.kind, **values}}
-    if samples is not None:
-        doc["samples"] = [[t, [p.x, p.y]] for t, p in samples]
+    if track:
+        doc["samples"] = [[t, [x, y]] for t, x, y in zip(traj.times, traj.xs, traj.ys)]
     doc["capture"] = {"ell": scenario.capture.ell, "epsilon": scenario.capture.epsilon}
     doc["estimator"] = scenario.estimator.value
     doc["horizon"] = scenario.horizon

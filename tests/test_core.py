@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from intercept.core import (
     CaptureSpec,
+    PiecewiseLinearTrajectory,
     PlanarPoint,
     SolveTrace,
     make_custom_trajectory,
@@ -190,6 +191,11 @@ class TestPiecewiseLinearTrajectory:
             make_piecewise_linear_trajectory(
                 [(0.0, PlanarPoint(0, 0)), (0.0, PlanarPoint(1, 0))]
             )
+        # the columns are a public constructor: unequal lengths are an error
+        unequal = [((0.0, 1.0), (0.0,), (0.0, 1.0)), ((0.0,), (0.0,), (0.0, 1.0)), ((), (0.0,), ())]
+        for columns in unequal:
+            with pytest.raises(ValueError, match="differ in length"):
+                PiecewiseLinearTrajectory(*columns)
 
 
 @st.composite
