@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on input errors, 2 when a solve ends without
-interception (budget exhausted / unreachable) or an oracle finds no crossing.
+interception (budget exhausted / no capture up to the horizon / unreachable)
+or an oracle finds no crossing.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _run_solve(scenario: Scenario, args: argparse.Namespace):
-    """Solve the scenario with the --estimator and --epsilon overrides applied."""
+    """Solve the scenario up to its horizon, with the --estimator and --epsilon overrides."""
     estimator = EstimatorKind(args.estimator) if args.estimator else scenario.estimator
     capture = scenario.capture
     if args.epsilon is not None:
@@ -92,6 +93,7 @@ def _run_solve(scenario: Scenario, args: argparse.Namespace):
         capture,
         estimator,
         max_iterations=args.max_iterations,
+        horizon=scenario.horizon,
     )
 
 

@@ -34,6 +34,7 @@ class SolveStatus(enum.Enum):
     INTERCEPTED = "intercepted"
     UNREACHABLE = "unreachable"
     BUDGET = "budget"
+    HORIZON = "horizon"
 
 
 # stopping distance when ell = 0, where the relative threshold degenerates
@@ -114,19 +115,25 @@ def solve(
     capture: CaptureSpec,
     estimator: EstimatorKind = EstimatorKind.BEST,
     max_iterations: int = 10_000,
+    horizon: float = math.inf,
 ) -> SolveResult:
     """Iterate the chosen estimator from t = 0 until the target is captured.
 
     Stops when distance <= ell*(1 + epsilon), after ``max_iterations`` steps
-    (status ``BUDGET``), or when the step stays below 1e-15*(1 + t) for ten
-    consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
+    (status ``BUDGET``), before evaluating a time past ``horizon`` (status
+    ``HORIZON``: every iterate is a lower bound on the capture time, so none
+    exists up to the horizon), or when the step stays below 1e-15*(1 + t) for
+    ten consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
     infinite capture time cannot be certified in finite time). A step to a
     non-finite time, target position or distance also ends the solve as
     ``UNREACHABLE``, at the last finite iterate; a non-finite speed bound, or
     target position or distance at t = 0, raises ValueError. For ell = 0 the
     relative threshold degenerates, so ``EPSILON_ABS`` is used instead. An
     intercepted result carries the plant's path, or None if the plant builds none.
+    A horizon that is not > 0 raises ValueError.
     """
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     ell = capture.ell
     threshold = ell * (1.0 + capture.epsilon) if ell > 0 else EPSILON_ABS
     step = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
@@ -140,6 +147,9 @@ def solve(
             break
         if t_next is None:
             status = SolveStatus.INTERCEPTED if rho <= threshold else SolveStatus.BUDGET
+            break
+        if t_next > horizon:
+            status = SolveStatus.HORIZON
             break
         underflow_run = underflow_run + 1 if t_next - t < 1e-15 * (1.0 + t_next) else 0
 

@@ -57,7 +57,8 @@ def test_solve_missing_file(capsys):
 
 
 def test_solve_budget_exit_code(scenario_file, capsys):
-    code = main(["solve", scenario_file(FLEEING), "--max-iterations", "25"])
+    # five steps stay short of the horizon of 10, which the eighth passes
+    code = main(["solve", scenario_file(FLEEING), "--max-iterations", "5"])
     out = capsys.readouterr()
     assert code == 2
     assert json.loads(out.out)["status"] == "budget"
@@ -68,16 +69,36 @@ def _reject_constant(name):
 
 
 @pytest.mark.parametrize("plant", ["simple", "dubins"])
-def test_target_fleeing_to_infinity_exits_unreachable(scenario_file, capsys, plant):
+def test_target_fleeing_to_infinity_stops_at_the_horizon(scenario_file, capsys, plant):
+    # the default horizon of 50: iterate 19 is the first past it, where the
+    # solve once ran on to 3,884 (simple) or 2,696 (Dubins) iterations
     doc = {**FLEEING, "plant": plant, "trajectory": {**FLEEING["trajectory"], "v": 1.5}}
+    del doc["horizon"]
     code = main(["solve", scenario_file(doc)])
     out = capsys.readouterr()
     assert code == 2
     result = json.loads(out.out, parse_constant=_reject_constant)
-    assert result["status"] == "unreachable"
-    assert math.isfinite(result["t_star"])
+    assert result["status"] == "horizon"
+    assert result["iterations"] == 18
+    assert result["t_star"] <= 50.0
     assert result["path"] is None
-    assert out.err.startswith("no interception: unreachable")
+    assert out.err.startswith("no interception: horizon after 18 iterations")
+
+
+@pytest.mark.parametrize("command", ["trace", "plot"])
+def test_trace_and_plot_honour_the_horizon(scenario_file, capsys, command):
+    doc = {**FLEEING, "trajectory": {**FLEEING["trajectory"], "v": 1.5}}
+    assert main([command, scenario_file(doc), "--horizon", "50"]) == 2
+    out = capsys.readouterr().out
+    if command == "trace":
+        assert out.splitlines()[-1].startswith("status: horizon after 18 iterations")
+
+
+def test_horizon_option_overrides_the_scenario(scenario_file, capsys):
+    path = scenario_file(LINE_SIMPLE)
+    assert main(["solve", path, "--horizon", "0.5"]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "horizon"
+    assert main(["solve", path, "--horizon", "1"]) == 0
 
 
 def test_output_is_deterministic(scenario_file, capsys):

@@ -181,6 +181,33 @@ class TestSolve:
         assert all(math.isfinite(t) and math.isfinite(rho) for t, rho in result.trace.iterates)
         assert result.t_star == result.trace.iterates[-1][0]
 
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    def test_fleeing_target_stops_at_the_horizon(self, plant):
+        # iterate 19 is the first past t = 50; it is a lower bound on the
+        # capture time, so there is no capture up to 50 and it is not evaluated
+        traj = make_line_trajectory(0, 1, math.pi / 2, 1.5)
+        result = solve(plant, traj, CaptureSpec(0.1, 1e-6), horizon=50.0)
+        assert result.status is SolveStatus.HORIZON
+        assert result.path is None
+        assert result.trace.iteration_count == 18
+        assert result.t_star == result.trace.iterates[-1][0] <= 50.0
+        unbounded = solve(plant, traj, CaptureSpec(0.1, 1e-6))
+        assert unbounded.trace.iterates[:19] == result.trace.iterates
+        assert unbounded.trace.iterates[19][0] > 50.0
+
+    def test_horizon_at_the_capture_time_still_intercepts(self):
+        traj = make_line_trajectory(0, 1, 0, 0.25)
+        capture = CaptureSpec(0.1, 1e-6)
+        unbounded = solve(SIMPLE_MOTIONS, traj, capture)
+        assert unbounded.status is SolveStatus.INTERCEPTED
+        assert solve(SIMPLE_MOTIONS, traj, capture, horizon=unbounded.t_star) == unbounded
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    def test_horizon_must_be_positive(self, horizon):
+        traj = make_line_trajectory(0, 1, 0, 0.25)
+        with pytest.raises(ValueError, match="horizon"):
+            solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6), horizon=horizon)
+
     @entry_points
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     @pytest.mark.parametrize("x", [math.nan, math.inf])
@@ -359,6 +386,34 @@ def test_solve_iterates_are_a_prefix_of_refine_iterates(plant_name):
             assert result.status is SolveStatus.INTERCEPTED
             solved = [t for t, _ in result.trace.iterates]
             assert solved == times[: len(solved)], (row.label, epsilon)
+
+
+@given(
+    st.sampled_from(PLANT_NAMES),
+    st.floats(-12, 12),
+    st.floats(-12, 12),
+    st.floats(0, 2 * math.pi),
+    speeds,
+    st.floats(0.05, 1.0),
+    st.floats(0.5, 15.0),
+)
+@example("simple", 0.0, 1.0, math.pi / 2, 1.5, 0.1, 50.0)
+@example("dubins", 0.0, 1.0, math.pi / 2, 1.5, 0.1, 50.0)
+@settings(max_examples=60, deadline=None)
+def test_horizon_stop_has_no_oracle_crossing_within_the_horizon(
+    plant_name, xi, eta, phi, v, ell, horizon
+):
+    # every iterate is a lower bound on the capture time, so a solve that
+    # stops at the horizon has proved that there is no capture up to it
+    plant = get_plant(plant_name)
+    traj = make_line_trajectory(xi, eta, phi, v)
+    result = solve(plant, traj, CaptureSpec(ell, 1e-6), horizon=horizon)
+    if result.status is SolveStatus.HORIZON:
+        crossing = grid_oracle(plant, traj, ell, horizon, resolution=1e-3)
+        assert crossing is None or crossing > horizon
+        assert result.t_star <= horizon
+    elif result.status is SolveStatus.INTERCEPTED:
+        assert result.t_star <= horizon
 
 
 class TestGridOracle:
