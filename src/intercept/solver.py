@@ -125,12 +125,13 @@ def solve(
     exists up to the horizon), or when the step stays below 1e-15*(1 + t) for
     ten consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
     infinite capture time cannot be certified in finite time). A step to a
-    non-finite time, target position or distance also ends the solve as
-    ``UNREACHABLE``, at the last finite iterate; a non-finite speed bound, or
-    target position or distance at t = 0, raises ValueError. For ell = 0 the
-    relative threshold degenerates, so ``EPSILON_ABS`` is used instead. An
-    intercepted result carries the plant's path, or None if the plant builds none.
-    A horizon that is not > 0 raises ValueError.
+    non-finite time (unless +inf passes a finite horizon), target position or
+    distance also ends the solve as ``UNREACHABLE``, at the last finite
+    iterate; a non-finite speed bound, a horizon that is not > 0, or a
+    non-finite target position or distance at t = 0 raises ValueError. For
+    ell = 0 the relative threshold degenerates, so ``EPSILON_ABS`` is used
+    instead. An intercepted result carries the plant's path, or None if the
+    plant builds none.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")

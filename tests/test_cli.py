@@ -70,8 +70,7 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("plant", ["simple", "dubins"])
 def test_target_fleeing_to_infinity_stops_at_the_horizon(scenario_file, capsys, plant):
-    # the default horizon of 50: iterate 19 is the first past it, where the
-    # solve once ran on to 3,884 (simple) or 2,696 (Dubins) iterations
+    # with the default horizon of 50, iterate 19 is the first past it
     doc = {**FLEEING, "plant": plant, "trajectory": {**FLEEING["trajectory"], "v": 1.5}}
     del doc["horizon"]
     code = main(["solve", scenario_file(doc)])
