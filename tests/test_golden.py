@@ -7,15 +7,18 @@ It also holds the Dubins distance (as ``float.hex``) and the Dubins
 ``contains`` answer at about 2,000 seeded queries plus boundary samples,
 where ``contains`` and ``distance == 0`` can disagree by rounding. Any change to the solver, the estimators or the distance functions that
 moves one of these by a single ulp fails here. Finally it holds the SHA-256
-digest of the ``render_svg`` document of every shipped scenario and of the
-showcase Lissajous solve of ``scripts/plot_interception.py`` on both plants,
-so a change to how plants are drawn must keep every SVG byte-identical, and
+digest of the ``render_svg`` document of every shipped scenario, of the
+showcase Lissajous solve of ``scripts/plot_interception.py`` and of a capture
+at t = 0 on both plants, and one digest over seeded line solves on both
+plants, so a change to how plants are drawn or how the document is written
+must keep every SVG byte-identical, and
 one SHA-256 digest over seeded solve documents and ``plant.path`` answers,
 so a change to how plants build paths must keep every path bit-identical.
 Last, for three seeded recorded-track documents (200, 1,000 and 5,000
 samples written as a mix of integer and float literals), it holds the SHA-256
 of the re-emitted scenario and of the solve's result document, so a change
 to how tracks are parsed, stored or evaluated must keep both byte-identical.
+``scripts/make_golden.py`` rewrites the file from the functions below.
 """
 
 from __future__ import annotations
@@ -49,25 +52,32 @@ SCENARIOS = HERE.parent / "scenarios"
 GOLDEN = json.loads((HERE / "golden.json").read_text(encoding="utf-8"))
 
 
-def test_table_is_bit_identical():
-    got = [
+def table_entries() -> list[dict]:
+    return [
         {"row": c.row_label, "plant": c.plant, "t_ref": c.t_ref.hex(), "counts": list(c.counts)}
         for c in run_table()
     ]
+
+
+def test_table_is_bit_identical():
+    got = table_entries()
     assert len(got) == 56
     assert got == GOLDEN["table"]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN["scenarios"]))
-def test_scenario_trace_is_bit_identical(name):
+def scenario_trace(name: str) -> dict:
+    """The status and the iterates, as ``float.hex``, of the shipped scenario ``name``."""
     scenario = parse_scenario((SCENARIOS / name).read_text(encoding="utf-8"))
     result = solve(
         get_plant(scenario.plant), scenario.trajectory, scenario.capture, scenario.estimator
     )
-    expected = GOLDEN["scenarios"][name]
-    assert result.status.value == expected["status"]
-    got = [[t.hex(), rho.hex()] for t, rho in result.trace.iterates]
-    assert got == expected["iterates"]
+    iterates = [[t.hex(), rho.hex()] for t, rho in result.trace.iterates]
+    return {"status": result.status.value, "iterates": iterates}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["scenarios"]))
+def test_scenario_trace_is_bit_identical(name):
+    assert scenario_trace(name) == GOLDEN["scenarios"][name]
 
 
 def test_every_shipped_scenario_has_a_golden_trace():
@@ -90,14 +100,20 @@ def dubins_queries() -> list[tuple[float, PlanarPoint]]:
     return queries
 
 
+def dubins_distances() -> list[str]:
+    return [dubins.distance(t, p).hex() for t, p in dubins_queries()]
+
+
+def dubins_contains() -> list[int]:
+    return [int(dubins.contains(t, p)) for t, p in dubins_queries()]
+
+
 def test_dubins_distance_is_bit_identical():
-    got = [dubins.distance(t, p).hex() for t, p in dubins_queries()]
-    assert got == GOLDEN["dubins"]["distance"]
+    assert dubins_distances() == GOLDEN["dubins"]["distance"]
 
 
 def test_dubins_contains_is_unchanged():
-    got = [int(dubins.contains(t, p)) for t, p in dubins_queries()]
-    assert got == GOLDEN["dubins"]["contains"]
+    assert dubins_contains() == GOLDEN["dubins"]["contains"]
 
 
 def svg_cases():
@@ -110,50 +126,93 @@ def svg_cases():
         )
     # the showcase of scripts/plot_interception.py
     showcase = make_lissajous_trajectory(-1.0, -2.0, 1.0, math.sqrt(2.0), 1.0)
-    for plant_name in ("simple", "dubins"):
-        cases.append(
-            (
-                f"showcase_{plant_name}",
-                plant_name,
-                showcase,
-                CaptureSpec(0.1, 1e-6),
-                EstimatorKind.BEST,
+    # captured at t = 0: no iterate time, so an empty reachable group
+    at_start = make_line_trajectory(0.05, 0.0, 0.0, 0.1)
+    for name, trajectory in (("showcase", showcase), ("capture_at_start", at_start)):
+        for plant_name in ("simple", "dubins"):
+            cases.append(
+                (
+                    f"{name}_{plant_name}",
+                    plant_name,
+                    trajectory,
+                    CaptureSpec(0.1, 1e-6),
+                    EstimatorKind.BEST,
+                )
             )
-        )
     return cases
+
+
+def svg_document(plant, trajectory, result) -> str:
+    """``render_svg`` of a solve, with the reachable sets at its positive iterate times."""
+    times = [t for t, _ in result.trace.iterates if t > 0]
+    return render_svg(plant, trajectory, result, times)
+
+
+def sha256(texts) -> str:
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def svg_digest(case) -> str:
+    _, plant_name, trajectory, capture, estimator = case
+    plant = get_plant(plant_name)
+    return sha256([svg_document(plant, trajectory, solve(plant, trajectory, capture, estimator))])
 
 
 @pytest.mark.parametrize("case", svg_cases(), ids=lambda case: case[0])
 def test_svg_is_byte_identical(case):
-    name, plant_name, trajectory, capture, estimator = case
-    plant = get_plant(plant_name)
-    result = solve(plant, trajectory, capture, estimator)
-    times = [t for t, _ in result.trace.iterates if t > 0]
-    svg = render_svg(plant, trajectory, result, times)
-    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == GOLDEN["svg"][name]
+    assert svg_digest(case) == GOLDEN["svg"][case[0]]
+
+
+def line_solves(rng: random.Random, plant, per_cell: int):
+    """(trajectory, result) of seeded line solves on ``plant``.
+
+    ``per_cell`` solves for each ell in {0, 0.05, 0.3} and epsilon in
+    {1e-9, 1e-6, 1e-3}.
+    """
+    for ell in (0.0, 0.05, 0.3):
+        for epsilon in (1e-9, 1e-6, 1e-3):
+            for _ in range(per_cell):
+                trajectory = make_line_trajectory(
+                    rng.uniform(-3.0, 3.0),
+                    rng.uniform(-3.0, 3.0),
+                    rng.uniform(0.0, 2.0 * math.pi),
+                    rng.uniform(0.0, 0.9),
+                )
+                yield trajectory, solve(plant, trajectory, CaptureSpec(ell, epsilon))
+
+
+def line_svg_documents():
+    """``render_svg`` of seeded line solves on both plants that end with a path.
+
+    Two solves per capture cell: a Dubins outline costs about 3 ms to draw.
+    """
+    rng = random.Random(11)
+    for plant_name in ("simple", "dubins"):
+        plant = get_plant(plant_name)
+        for trajectory, result in line_solves(rng, plant, 2):
+            if result.path is not None:
+                yield svg_document(plant, trajectory, result)
+
+
+def test_line_solve_svgs_are_byte_identical():
+    assert sha256(line_svg_documents()) == GOLDEN["svg"]["line_solves"]
 
 
 def path_documents():
     """Texts that spell out every path value of both plants bit for bit.
 
-    ``emit_result`` of seeded line solves for each ell in {0, 0.05, 0.3} and
-    epsilon in {1e-9, 1e-6, 1e-3}, then ``repr(plant.path(...))`` at seeded
-    points on both sides of the y-axis and on it (x = 0.0 and x = -0.0),
-    each queried with its own distance plus 1e-9 as the reach.
+    ``emit_result`` of 32 seeded ``line_solves`` per capture cell, then ``repr(plant.path(...))``
+    at seeded points on both sides of the y-axis and on it (x = 0.0 and
+    x = -0.0), each queried with its own distance plus 1e-9 as the reach.
     """
     rng = random.Random(7)
     for plant_name in ("simple", "dubins"):
         plant = get_plant(plant_name)
-        for ell in (0.0, 0.05, 0.3):
-            for epsilon in (1e-9, 1e-6, 1e-3):
-                for _ in range(32):
-                    trajectory = make_line_trajectory(
-                        rng.uniform(-3.0, 3.0),
-                        rng.uniform(-3.0, 3.0),
-                        rng.uniform(0.0, 2.0 * math.pi),
-                        rng.uniform(0.0, 0.9),
-                    )
-                    yield emit_result(solve(plant, trajectory, CaptureSpec(ell, epsilon)))
+        for _, result in line_solves(rng, plant, 32):
+            yield emit_result(result)
         for i in range(3000):
             x = (0.0, -0.0)[i % 2] if i % 10 < 2 else rng.uniform(-4.0, 4.0)
             point = PlanarPoint(x, rng.uniform(-4.0, 4.0))
@@ -163,10 +222,7 @@ def path_documents():
 
 
 def test_paths_are_bit_identical():
-    digest = hashlib.sha256()
-    for text in path_documents():
-        digest.update(text.encode("utf-8"))
-    assert digest.hexdigest() == GOLDEN["paths"]
+    assert sha256(path_documents()) == GOLDEN["paths"]
 
 
 TRACKS = {
@@ -212,15 +268,16 @@ def track_document(name: str) -> str:
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("name", sorted(TRACKS))
-def test_track_documents_are_byte_identical(name):
+def track_digests(name: str) -> dict:
+    """The digests of the re-emitted track document ``name`` and of its solve's result."""
     scenario = parse_scenario(track_document(name))
     result = solve(
         get_plant(scenario.plant), scenario.trajectory, scenario.capture, scenario.estimator
     )
     assert result.status.value == "intercepted"
-    got = {
-        "scenario": hashlib.sha256(emit_scenario(scenario).encode("utf-8")).hexdigest(),
-        "result": hashlib.sha256(emit_result(result).encode("utf-8")).hexdigest(),
-    }
-    assert got == GOLDEN["tracks"][name]
+    return {"scenario": sha256([emit_scenario(scenario)]), "result": sha256([emit_result(result)])}
+
+
+@pytest.mark.parametrize("name", sorted(TRACKS))
+def test_track_documents_are_byte_identical(name):
+    assert track_digests(name) == GOLDEN["tracks"][name]
