@@ -26,12 +26,6 @@ class PlanarPoint:
     def distance_to(self, other: "PlanarPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def __add__(self, other: "PlanarPoint") -> "PlanarPoint":
-        return PlanarPoint(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "PlanarPoint") -> "PlanarPoint":
-        return PlanarPoint(self.x - other.x, self.y - other.y)
-
     def scaled(self, factor: float) -> "PlanarPoint":
         return PlanarPoint(self.x * factor, self.y * factor)
 

@@ -28,10 +28,17 @@ def _solve_line(plant):
 
 
 def test_import_does_not_load_elementtree():
-    # render_svg imports ElementTree itself, so library users who never
-    # plot do not pay for loading it
+    # render_svg writes the document as text, so neither importing the
+    # package nor drawing loads an XML module
     src = pathlib.Path(intercept.__file__).resolve().parent.parent
-    code = "import sys, intercept; print('xml.etree.ElementTree' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from intercept import *\n"
+        "traj = make_line_trajectory(0, 1, 0, 0.25)\n"
+        "result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))\n"
+        "render_svg(SIMPLE_MOTIONS, traj, result, [1.0])\n"
+        "print(any(name.startswith('xml') for name in sys.modules))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
