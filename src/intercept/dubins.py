@@ -198,17 +198,9 @@ def _polish(x: float, a: float, b: float, c: float, d: float) -> float:
 
 
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a*x^3 + b*x^2 + c*x + d, degrading degree as needed."""
+    """Real roots of a*x^3 + b*x^2 + c*x + d, a quadratic when a is negligible."""
     if abs(a) <= _COEF_ZERO:
-        if abs(b) <= _COEF_ZERO:
-            if abs(c) <= _COEF_ZERO:
-                if abs(d) <= _COEF_ZERO:
-                    raise ValueError("identically zero polynomial")
-                return []
-            return [-d / c]
         disc = c * c - 4.0 * b * d
-        if disc < 0.0:
-            return []
         q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
         roots = [q / b]
         if q != 0.0:
@@ -251,6 +243,8 @@ def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
         raise ValueError(f"time must be >= 0, got {t}")
     third = t / 3.0
     ax = abs(y.x)
+    # b >= 2 and d <= 0, so c^2 - 4bd >= 0: the quadratic that a negligible a
+    # leaves always has real roots, which _real_cubic_roots relies on
     a = -(y.y + math.sin(third))
     b = 3.0 + 3.0 * ax + math.cos(third)
     c = 3.0 * y.y - math.sin(third)

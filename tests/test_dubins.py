@@ -179,10 +179,6 @@ class TestCubicRoots:
             for xi in cc_cubic_roots(t, p):
                 assert abs(self._residual(t, p, xi)) < 1e-9 * scale
 
-    def test_identically_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            dubins._real_cubic_roots(0.0, 0.0, 0.0, 0.0)
-
     def test_known_cubic(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
         roots = sorted(dubins._real_cubic_roots(1.0, -6.0, 11.0, -6.0))
