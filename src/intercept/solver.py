@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -122,19 +123,23 @@ def solve(
     Stops when distance <= ell*(1 + epsilon), after ``max_iterations`` steps
     (status ``BUDGET``), before evaluating a time past ``horizon`` (status
     ``HORIZON``: every iterate is a lower bound on the capture time, so none
-    exists up to the horizon), or when the step stays below 1e-15*(1 + t) for
-    ten consecutive iterations (status ``UNREACHABLE`` - a heuristic, since an
-    infinite capture time cannot be certified in finite time). A step to a
-    non-finite time (unless +inf passes a finite horizon), target position or
-    distance also ends the solve as ``UNREACHABLE``, at the last finite
-    iterate; a non-finite speed bound, a horizon that is not > 0, or a
-    non-finite target position or distance at t = 0 raises ValueError. For
+    exists up to the horizon, and ``t_star`` is that first iterate past it,
+    or the largest float if the step overflowed), or when the step stays
+    below 1e-15*(1 + t) for ten consecutive iterations (status
+    ``UNREACHABLE`` - a heuristic, since an infinite capture time cannot be
+    certified in finite time). A step to a non-finite time (unless +inf
+    passes a finite horizon), target position or distance also ends the solve
+    as ``UNREACHABLE``, at the last finite iterate; a non-finite speed bound,
+    a horizon that is not > 0, ``max_iterations < 0``, or a non-finite target
+    position or distance at t = 0 raises ValueError. For
     ell = 0 the relative threshold degenerates, so ``EPSILON_ABS`` is used
     instead. An intercepted result carries the plant's path, or None if the
     plant builds none.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be at least 0, got {max_iterations}")
     ell = capture.ell
     threshold = ell * (1.0 + capture.epsilon) if ell > 0 else EPSILON_ABS
     step = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
@@ -150,7 +155,8 @@ def solve(
             status = SolveStatus.INTERCEPTED if rho <= threshold else SolveStatus.BUDGET
             break
         if t_next > horizon:
-            status = SolveStatus.HORIZON
+            # not evaluated, but a proven lower bound on the capture time
+            status, t = SolveStatus.HORIZON, min(t_next, sys.float_info.max)
             break
         underflow_run = underflow_run + 1 if t_next - t < 1e-15 * (1.0 + t_next) else 0
 

@@ -64,6 +64,15 @@ def test_solve_budget_exit_code(scenario_file, capsys):
     assert json.loads(out.out)["status"] == "budget"
 
 
+def test_negative_budget_is_an_input_error(scenario_file, capsys):
+    # it used to run as a budget of 0 and exit 2 with status budget
+    code = main(["solve", scenario_file(FLEEING), "--max-iterations", "-5"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "max_iterations" in out.err
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -79,9 +88,11 @@ def test_target_fleeing_to_infinity_stops_at_the_horizon(scenario_file, capsys, 
     result = json.loads(out.out, parse_constant=_reject_constant)
     assert result["status"] == "horizon"
     assert result["iterations"] == 18
-    assert result["t_star"] <= 50.0
+    # the unevaluated iterate 19 is the proven bound
+    t_star = {"simple": 55.706399886712155, "dubins": 55.70639988671209}[plant]
+    assert result["t_star"] == t_star
     assert result["path"] is None
-    assert out.err.startswith("no interception: horizon after 18 iterations")
+    assert out.err == f"no interception: horizon after 18 iterations (t >= {t_star})\n"
 
 
 @pytest.mark.parametrize("command", ["trace", "plot"])
@@ -195,6 +206,18 @@ def test_non_finite_input_is_an_input_error(scenario_file, capsys):
     assert code == 1
     assert captured.out == ""
     assert "trajectory.xi" in captured.err
+
+
+def test_epsilon_override(scenario_file, capsys):
+    path = scenario_file(LINE_SIMPLE)
+    runs = {}
+    for epsilon in ("1e-3", "1e-6"):
+        assert main(["solve", path, "--epsilon", epsilon]) == 0
+        runs[epsilon] = json.loads(capsys.readouterr().out)
+    ell = LINE_SIMPLE["capture"]["ell"]
+    assert runs["1e-3"]["trace"][-1][1] <= ell * (1 + 1e-3)
+    # the looser stop rule is the one applied: 7 iterations against 12
+    assert runs["1e-3"]["iterations"] < runs["1e-6"]["iterations"]
 
 
 def test_estimator_override(scenario_file, capsys):

@@ -161,6 +161,38 @@ class TestParseScenario:
             parse_scenario(text)
         assert exc.value.field == "samples"
 
+    def test_document_that_is_not_an_object_rejected(self):
+        with pytest.raises(ScenarioError, match="JSON object") as exc:
+            parse_scenario("[1, 2]")
+        assert exc.value.field is None
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"trajectory": None}, "trajectory"),
+            ({"trajectory": [0, 1]}, "trajectory"),
+            ({"trajectory": {"kind": "spiral"}}, "trajectory.kind"),
+            ({"capture": None}, "capture"),
+            ({"capture": 0.1}, "capture"),
+            ({"trajectory": {"kind": "piecewise_linear"}, "samples": {}}, "samples"),
+            ({"trajectory": {"kind": "piecewise_linear"}, "samples": []}, "samples"),
+            ({"estimator": "fastest"}, "estimator"),
+            ({"horizon": 0}, "horizon"),
+            ({"horizon": -1}, "horizon"),
+        ],
+    )
+    def test_malformed_entry_names_the_field(self, changes, field):
+        # None deletes the entry
+        doc = json.loads(MINIMAL)
+        for key, value in changes.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(json.dumps(doc))
+        assert exc.value.field == field
+
     def test_bool_is_not_a_number(self):
         doc = json.loads(MINIMAL)
         doc["capture"]["ell"] = True

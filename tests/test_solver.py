@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from intercept.core import (
     make_piecewise_linear_trajectory,
 )
 from intercept.dubins import DUBINS_CAR
-from intercept.plants import PLANT_NAMES, SIMPLE_MOTIONS, PlantModel, get_plant
+from intercept.plants import (
+    PLANT_NAMES,
+    SIMPLE_MOTIONS,
+    PlantModel,
+    SimpleMotions,
+    get_plant,
+)
+from intercept.scenario import emit_result
 from intercept.solver import (
     EPSILON_ABS,
     ConvergenceError,
@@ -49,6 +58,13 @@ class HiddenStepPlant(PlantModel):
 
     def distance(self, t, y):
         return SIMPLE_MOTIONS.distance(t, y)
+
+
+class NanAfterStartPlant(SimpleMotions):
+    """Simple motions whose distance is NaN at every time after t = 0."""
+
+    def distance(self, t, y):
+        return super().distance(t, y) if t == 0.0 else math.nan
 
 
 class TestSimpleEstimator:
@@ -169,6 +185,19 @@ class TestSolve:
         assert result.path is None
         assert result.trace.iteration_count == 50
 
+    def test_zero_budget_takes_no_step(self):
+        traj = make_line_trajectory(0, 1, math.pi / 2, 2.0)
+        result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6), max_iterations=0)
+        assert result.status is SolveStatus.BUDGET
+        assert result.trace.iterates == ((0.0, 1.0),)
+
+    @pytest.mark.parametrize("budget", [-1, -5])
+    def test_negative_budget_is_rejected(self, budget):
+        # it used to read as a budget of 0
+        traj = make_line_trajectory(0, 1, math.pi / 2, 2.0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6), max_iterations=budget)
+
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     def test_target_fleeing_to_infinity_is_unreachable(self, plant):
         # faster than the plant: t, then the target position, overflow; the
@@ -181,19 +210,44 @@ class TestSolve:
         assert all(math.isfinite(t) and math.isfinite(rho) for t, rho in result.trace.iterates)
         assert result.t_star == result.trace.iterates[-1][0]
 
+    def test_distance_turning_nan_after_the_start_is_unreachable(self):
+        traj = make_line_trajectory(0, 1, 0, 0.25)
+        result = solve(NanAfterStartPlant(), traj, CaptureSpec(0.1, 1e-6))
+        assert result.status is SolveStatus.UNREACHABLE
+        assert result.path is None
+        assert result.trace.iterates == ((0.0, 1.0),)
+        assert result.t_star == 0.0
+
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     def test_fleeing_target_stops_at_the_horizon(self, plant):
         # iterate 19 is the first past t = 50; it is a lower bound on the
-        # capture time, so there is no capture up to 50 and it is not evaluated
+        # capture time, so there is no capture up to 50 and it is not evaluated;
+        # it is the reported bound
         traj = make_line_trajectory(0, 1, math.pi / 2, 1.5)
         result = solve(plant, traj, CaptureSpec(0.1, 1e-6), horizon=50.0)
         assert result.status is SolveStatus.HORIZON
         assert result.path is None
         assert result.trace.iteration_count == 18
-        assert result.t_star == result.trace.iterates[-1][0] <= 50.0
         unbounded = solve(plant, traj, CaptureSpec(0.1, 1e-6))
         assert unbounded.trace.iterates[:19] == result.trace.iterates
-        assert unbounded.trace.iterates[19][0] > 50.0
+        assert result.t_star == unbounded.trace.iterates[19][0] > 50.0
+
+    def test_horizon_stop_on_an_overflowing_step_reports_a_finite_bound(self):
+        # the step from t = max overflows to inf, which passes the horizon
+        class FarPlant(PlantModel):
+            name = "far"
+
+            def distance(self, t, y):
+                return sys.float_info.max
+
+        traj = make_line_trajectory(0, 0, 0, 0.0)
+        capture = CaptureSpec(0.1, 1e-6)
+        horizon = sys.float_info.max
+        result = solve(FarPlant(), traj, capture, EstimatorKind.SIMPLE, horizon=horizon)
+        assert result.status is SolveStatus.HORIZON
+        assert result.trace.iterates[-1][0] == sys.float_info.max
+        assert result.t_star == sys.float_info.max
+        json.loads(emit_result(result))
 
     def test_horizon_at_the_capture_time_still_intercepts(self):
         traj = make_line_trajectory(0, 1, 0, 0.25)
@@ -363,6 +417,11 @@ class TestRefineGroundTruth:
         with pytest.raises(ValueError, match="max_iterations"):
             list(refine_iterates(SIMPLE_MOTIONS, near, 0.1, max_iterations=max_iterations))
 
+    def test_distance_turning_nan_after_the_start_raises(self):
+        traj = make_line_trajectory(0, 1, 0, 0.25)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            refine_ground_truth(NanAfterStartPlant(), traj, 0.1)
+
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     def test_target_fleeing_to_infinity_raises(self, plant):
         # t overflows first on the simple plant (once returned as t_ref = inf),
@@ -411,7 +470,7 @@ def test_horizon_stop_has_no_oracle_crossing_within_the_horizon(
     if result.status is SolveStatus.HORIZON:
         crossing = grid_oracle(plant, traj, ell, horizon, resolution=1e-3)
         assert crossing is None or crossing > horizon
-        assert result.t_star <= horizon
+        assert result.t_star > horizon
     elif result.status is SolveStatus.INTERCEPTED:
         assert result.t_star <= horizon
 
