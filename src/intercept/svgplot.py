@@ -26,6 +26,7 @@ def _fmt(v: float) -> str:
 
 
 def _group(name: str, body: str) -> str:
+    # an empty group (no reachable set before a capture at t = 0) closes itself
     head = f'<g id="{name}" {_STYLE[name]}'
     return f"{head}>{body}</g>" if body else f"{head} />"
 
