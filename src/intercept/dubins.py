@@ -46,30 +46,27 @@ class DubinsRegion(enum.Enum):
     D_III = "D_III"
 
 
-def alpha_cs(y: PlanarPoint) -> float:
-    """Discriminant of the CS family: negative inside the open turning disks.
+# looked up once: reading a member off an Enum class costs about 0.15 us
+_D_I, _D_II, _D_III = DubinsRegion
 
-    Evaluated as |x|(|x| - 2) + y^2, which is exact where the textbook form
-    (1 - |x|)^2 + y^2 - 1 cancels catastrophically for tiny |x|.
-    """
-    ax = abs(y.x)
-    return ax * (ax - 2.0) + y.y * y.y
+# --- the case analysis on (|x|, y) ------------------------------------------
+#
+# Each float expression is written once, in a helper over ax = |x| and yy = y.
+# ``distance`` (after the cubic solver) runs them in one pass; the PlanarPoint
+# functions below wrap the same helpers.
 
 
-def alpha_cc(y: PlanarPoint) -> float:
-    """Cosine of the second-arc angle of the shortest CC path to y."""
-    ax = abs(y.x)
+def _case(ax: float, yy: float) -> tuple[DubinsRegion, float, float]:
+    """Region of (ax, yy), with its discriminants alpha_cs and alpha_cc."""
+    # |x|(|x| - 2) + y^2, exact where (1 - |x|)^2 + y^2 - 1 cancels for tiny |x|
+    a_cs = ax * (ax - 2.0) + yy * yy
     # 5 - (1 + |x|)^2 = 4 - |x|(2 + |x|), keeping the small-|x| contribution
-    return (4.0 - ax * (2.0 + ax) - y.y * y.y) / 4.0
-
-
-def classify(y: PlanarPoint) -> DubinsRegion:
-    """Assign y to the region that decides its shortest-path family."""
-    if (y.x == 0.0 and y.y == 0.0) or alpha_cs(y) < 0.0:
-        return DubinsRegion.D_I
-    if alpha_cc(y) > -1.0 and y.y > 0.0:
-        return DubinsRegion.D_III
-    return DubinsRegion.D_II
+    a_cc = (4.0 - ax * (2.0 + ax) - yy * yy) / 4.0
+    if (ax == 0.0 and yy == 0.0) or a_cs < 0.0:
+        return _D_I, a_cs, a_cc
+    if a_cc > -1.0 and yy > 0.0:
+        return _D_III, a_cs, a_cc
+    return _D_II, a_cs, a_cc
 
 
 def _acos(u: float) -> float:
@@ -84,20 +81,70 @@ def _acos(u: float) -> float:
     return math.acos(u)
 
 
-def theta_cs(y: PlanarPoint) -> float:
-    """First-arc angle of the length-minimizing CS path to y, in [0, 2*pi)."""
-    a = alpha_cs(y)
-    if a < 0.0:
+def _cs(ax: float, yy: float, a_cs: float) -> tuple[float, float]:
+    """First-arc angle in [0, 2*pi) and length of the shortest CS path, from alpha_cs."""
+    if a_cs < 0.0:
         raise ValueError("CS geometry undefined inside the open turning disks")
-    ax = abs(y.x)
-    root = math.sqrt(a)
-    base = _acos((1.0 - ax + y.y * root) / (1.0 + a))
+    root = math.sqrt(a_cs)
+    theta = _acos((1.0 - ax + yy * root) / (1.0 + a_cs))
     # Branch test y >= (1 - |x|) * sqrt(a): squaring shows it is equivalent
     # to y >= 0 or |x| >= 2, which evaluates without the sqrt cancellation
     # that flips the comparison next to the locus (e.g. on the +y axis).
-    if y.y >= 0.0 or ax >= 2.0:
-        return base
-    return TWO_PI - base
+    if not (yy >= 0.0 or ax >= 2.0):
+        theta = TWO_PI - theta
+    return theta, theta + root
+
+
+def _cc_lengths(ax: float, yy: float, a_cc: float) -> tuple[float, float]:
+    """Lengths (plus, minus) of the two CC paths, from alpha_cc."""
+    s = math.sqrt(max(1.0 - a_cc * a_cc, 0.0))
+    den = (1.0 + ax) ** 2 + yy**2
+    theta_plus = _acos(((1.0 + ax) * (2.0 - a_cc) + yy * s) / den)
+    theta_minus = _acos(((1.0 + ax) * (2.0 - a_cc) - yy * s) / den)
+    acos_a = _acos(a_cc)
+    return theta_plus + acos_a, theta_minus + TWO_PI - acos_a
+
+
+def _contains(
+    t: float, ax: float, yy: float, region: DubinsRegion, a_cc: float, length_cs: float | None
+) -> bool:
+    """``contains(t, y)`` from ``_case`` and, off D_I, the CS length."""
+    if region is _D_II:
+        return t >= length_cs
+    if region is _D_I:
+        return t >= _cc_lengths(ax, yy, a_cc)[1] or (t == 0.0 and ax == 0.0 and yy == 0.0)
+    # D_III: the CS length must be met, and the CC window must not exclude t
+    if t < length_cs:
+        return False
+    plus, minus = _cc_lengths(ax, yy, a_cc)
+    return t >= minus or plus >= t
+
+
+# --- the same case analysis on PlanarPoint queries ---------------------------
+
+
+def alpha_cs(y: PlanarPoint) -> float:
+    """Discriminant of the CS family: negative inside the open turning disks.
+
+    Evaluated as |x|(|x| - 2) + y^2, which is exact where the textbook form
+    (1 - |x|)^2 + y^2 - 1 cancels catastrophically for tiny |x|.
+    """
+    return _case(abs(y.x), y.y)[1]
+
+
+def alpha_cc(y: PlanarPoint) -> float:
+    """Cosine of the second-arc angle of the shortest CC path to y."""
+    return _case(abs(y.x), y.y)[2]
+
+
+def classify(y: PlanarPoint) -> DubinsRegion:
+    """Assign y to the region that decides its shortest-path family."""
+    return _case(abs(y.x), y.y)[0]
+
+
+def theta_cs(y: PlanarPoint) -> float:
+    """First-arc angle of the length-minimizing CS path to y, in [0, 2*pi)."""
+    return _cs(abs(y.x), y.y, alpha_cs(y))[0]
 
 
 def v_cs(y: PlanarPoint) -> float:
@@ -106,17 +153,7 @@ def v_cs(y: PlanarPoint) -> float:
     Defined everywhere except inside the open turning disks (D_I away from
     the origin), where ``theta_cs`` raises.
     """
-    return theta_cs(y) + math.sqrt(alpha_cs(y))
-
-
-def _theta_cc_pair(y: PlanarPoint) -> tuple[float, float]:
-    ax = abs(y.x)
-    a = alpha_cc(y)
-    s = math.sqrt(max(1.0 - a * a, 0.0))
-    den = (1.0 + ax) ** 2 + y.y**2
-    plus = _acos(((1.0 + ax) * (2.0 - a) + y.y * s) / den)
-    minus = _acos(((1.0 + ax) * (2.0 - a) - y.y * s) / den)
-    return plus, minus
+    return _cs(abs(y.x), y.y, alpha_cs(y))[1]
 
 
 def v_cc(y: PlanarPoint, region: DubinsRegion) -> tuple[float | None, float | None]:
@@ -126,38 +163,20 @@ def v_cc(y: PlanarPoint, region: DubinsRegion) -> tuple[float | None, float | No
     exists only on D_III, the minus branch on D_I and D_III, and neither on
     D_II.
     """
-    if region is DubinsRegion.D_II:
+    if region is _D_II:
         return None, None
-    a = alpha_cc(y)
-    theta_plus, theta_minus = _theta_cc_pair(y)
-    acos_a = _acos(a)
-    plus = theta_plus + acos_a if region is DubinsRegion.D_III else None
-    minus = theta_minus + TWO_PI - acos_a
-    return plus, minus
-
-
-def _contains(
-    t: float, y: PlanarPoint, region: DubinsRegion, length_cs: float | None
-) -> bool:
-    """``contains(t, y)`` given ``region = classify(y)`` and, off D_I, ``v_cs(y)``."""
-    if region is DubinsRegion.D_II:
-        return t >= length_cs
-    if region is DubinsRegion.D_I:
-        return t >= v_cc(y, region)[1] or (t == 0.0 and y.x == 0.0 and y.y == 0.0)
-    # D_III: the CS length must be met, and the CC window must not exclude t
-    if t < length_cs:
-        return False
-    plus, minus = v_cc(y, region)
-    return t >= minus or plus >= t
+    plus, minus = _cc_lengths(abs(y.x), y.y, alpha_cc(y))
+    return (plus if region is _D_III else None), minus
 
 
 def contains(t: float, y: PlanarPoint) -> bool:
     """Whether the car can occupy y at exactly time t."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    region = classify(y)
-    length_cs = None if region is DubinsRegion.D_I else v_cs(y)
-    return _contains(t, y, region, length_cs)
+    ax, yy = abs(y.x), y.y
+    region, a_cs, a_cc = _case(ax, yy)
+    length_cs = None if region is _D_I else _cs(ax, yy, a_cs)[1]
+    return _contains(t, ax, yy, region, a_cc, length_cs)
 
 
 # --- boundary parameterizations ---------------------------------------------
@@ -252,53 +271,54 @@ def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
     return _real_cubic_roots(a, b, c, d)
 
 
-def _cc_candidates(t: float, y: PlanarPoint) -> list[float]:
-    """First-arc durations worth checking when minimizing the CC distance."""
+def _cc_nearest(t: float, ax: float, yy: float, roots: list[float]) -> tuple[float, float]:
+    """First-arc duration tau and distance of the CC-family point nearest (ax, yy).
+
+    The candidates are tau = 0, min(t, pi/2) and the arc splits of ``roots``,
+    the stationarity cubic's roots ``cc_cubic_roots(t, y)``.
+    """
     hi = min(t, HALF_PI)
     third = t / 3.0
     cands = [0.0, hi]
-    for xi in cc_cubic_roots(t, y):
+    for xi in roots:
         cands.append((third - 2.0 * math.atan(xi)) % TWO_PI)
-    if abs(y.y + math.sin(third)) <= _COEF_ZERO:
+    if abs(yy + math.sin(third)) <= _COEF_ZERO:
         # degenerate leading coefficient: the root at infinity maps here
         cands.append((third - math.pi) % TWO_PI)
-    return [tau for tau in cands if 0.0 <= tau <= hi]
-
-
-def _cc_nearest(t: float, y: PlanarPoint) -> tuple[float, PlanarPoint, float]:
-    """Closest point on the CC family to y (queried with |x|)."""
-    ax = abs(y.x)
-    best_tau, best_point, best_dist = 0.0, None, math.inf
-    for tau in _cc_candidates(t, y):
-        point = PlanarPoint(x_lr(tau, t), y_lr(tau, t))
-        dist = math.hypot(ax - point.x, y.y - point.y)
-        if dist < best_dist:
-            best_tau, best_point, best_dist = tau, point, dist
-    assert best_point is not None
-    return best_tau, best_point, best_dist
+    best_tau, best_dist = None, math.inf
+    for tau in cands:
+        if 0.0 <= tau <= hi:
+            # the point (x_lr(tau, t), y_lr(tau, t))
+            px = 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
+            py = 2.0 * math.sin(tau) + math.sin(t - 2.0 * tau)
+            dist = math.hypot(ax - px, yy - py)
+            if dist < best_dist:
+                best_tau, best_dist = tau, dist
+    assert best_tau is not None
+    return best_tau, best_dist
 
 
 def distance(t: float, y: PlanarPoint) -> float:
     """Euclidean distance from y to the positions the car can reach at time t.
 
-    One case analysis: the region, then (off D_I) the CS angle and length
+    One pass over (|x|, y): the region, then (off D_I) the CS angle and length
     decide containment and whether the nearest boundary point lies on the
     CS family; otherwise it lies on the CC family.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    region = classify(y)
-    if region is DubinsRegion.D_I:
-        if _contains(t, y, region, None):
+    ax, yy = abs(y.x), y.y
+    region, a_cs, a_cc = _case(ax, yy)
+    if region is _D_I:
+        if _contains(t, ax, yy, region, a_cc, None):
             return 0.0
-        return _cc_nearest(t, y)[2]
-    theta = theta_cs(y)
-    length = theta + math.sqrt(alpha_cs(y))  # v_cs(y) without a second theta_cs
-    if _contains(t, y, region, length):
+        return _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))[1]
+    theta, length = _cs(ax, yy, a_cs)
+    if _contains(t, ax, yy, region, a_cc, length):
         return 0.0
-    if theta <= t and (region is DubinsRegion.D_II or length >= t):
+    if theta <= t and (region is _D_II or length >= t):
         return length - t
-    return _cc_nearest(t, y)[2]
+    return _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))[1]
 
 
 def boundary_points(t: float, n: int) -> list[PlanarPoint]:
@@ -359,16 +379,18 @@ class DubinsCar(PlantModel):
         # solved in the right half-plane; left of the axis, turns and endpoint mirror
         left = y_target.x < 0.0
         turn, other = (LEFT, RIGHT) if left else (RIGHT, LEFT)
-        mirrored = PlanarPoint(abs(y_target.x), y_target.y)
+        ax, yy = abs(y_target.x), y_target.y
         best = None  # (distance, segments, endpoint in the right half-plane)
-        if alpha_cs(mirrored) >= 0.0:
-            th = theta_cs(mirrored)
+        a_cs = _case(ax, yy)[1]
+        if a_cs >= 0.0:
+            th = _cs(ax, yy, a_cs)[0]
             if th <= t_star:
                 endpoint = _cs_point(th, t_star)
-                dist = endpoint.distance_to(mirrored)
+                dist = endpoint.distance_to(PlanarPoint(ax, yy))
                 best = (dist, (arc(turn, th), straight(t_star - th)), endpoint)
-        tau, cc_endpoint, cc_dist = _cc_nearest(t_star, mirrored)
+        tau, cc_dist = _cc_nearest(t_star, ax, yy, cc_cubic_roots(t_star, y_target))
         if best is None or cc_dist < best[0]:
+            cc_endpoint = PlanarPoint(x_lr(tau, t_star), y_lr(tau, t_star))
             best = (cc_dist, (arc(other, tau), arc(turn, t_star - tau)), cc_endpoint)
         _, segments, endpoint = best
         if left:
