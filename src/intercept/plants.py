@@ -78,7 +78,9 @@ class PlantModel(abc.ABC):
         Finds the smallest s >= t with distance(s, y) = v*(s - t) + ell by the
         safe-step iteration applied to the frozen point y against an
         inflating capture margin, until the inner step drops below
-        1e-15*(1 + s). Plants with a closed form override this.
+        1e-15*(1 + s). A distance that is not finite ends the search at s,
+        where the caller's own evaluation meets it. Plants with a closed
+        form override this.
         """
         s = t
         gap = rho - ell
@@ -88,7 +90,7 @@ class PlantModel(abc.ABC):
             if step <= 1e-15 * (1.0 + s):
                 return s
             gap = self.distance(s, y) - v * (s - t) - ell
-            if gap <= 0.0:
+            if gap <= 0.0 or not math.isfinite(gap):
                 return s
         return s  # still a valid lower bound
 

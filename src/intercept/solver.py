@@ -195,14 +195,15 @@ def refine_iterates(
             return
         # inf - t <= 1e-14 * (1 + inf) holds: an infinite step would pass as converged
         if not math.isfinite(t_next):
-            break
+            raise ConvergenceError(f"the step after t = {t} is not finite (t_next = {t_next})")
         yield t_next
         if t_next - t <= 1e-14 * (1.0 + t_next):
             return
         # before resuming, so the budget's last time is yielded but not evaluated
         if n + 1 >= max_iterations:
             raise ConvergenceError(f"no convergence within {max_iterations} iterations")
-    raise ConvergenceError(f"the iterate after t = {t} is not finite (t_next = {t_next})")
+    # _iterates stopped on the target position or the distance at t_next
+    raise ConvergenceError(f"the target position or distance at t = {t_next} is not finite")
 
 
 def refine_ground_truth(

@@ -67,6 +67,19 @@ class NanAfterStartPlant(SimpleMotions):
         return super().distance(t, y) if t == 0.0 else math.nan
 
 
+class NanAfterStartGenericPlant(PlantModel):
+    """Like ``NanAfterStartPlant``, with the generic step search; counts its distances."""
+
+    name = "nan-generic"
+
+    def __init__(self):
+        self.calls = 0
+
+    def distance(self, t, y):
+        self.calls += 1
+        return SIMPLE_MOTIONS.distance(t, y) if t == 0.0 else math.nan
+
+
 class TestSimpleEstimator:
     def test_worked_example(self):
         got = simple_estimator(SIMPLE_MOTIONS, 0.0, PlanarPoint(0, 1), 1.0, 0.25, 0.1)
@@ -217,6 +230,15 @@ class TestSolve:
         assert result.path is None
         assert result.trace.iterates == ((0.0, 1.0),)
         assert result.t_star == 0.0
+
+    def test_generic_step_stops_on_a_nan_distance(self):
+        # the start, the step search's first probe, and the loop's evaluation of
+        # the step; the search once spun through its 1,000,000 probes on NaN
+        plant = NanAfterStartGenericPlant()
+        result = solve(plant, make_line_trajectory(0, 1, 0, 0.25), CaptureSpec(0.1, 1e-6))
+        assert result.status is SolveStatus.UNREACHABLE
+        assert result.trace.iterates == ((0.0, 1.0),)
+        assert plant.calls == 3
 
     @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
     def test_fleeing_target_stops_at_the_horizon(self, plant):
@@ -419,16 +441,28 @@ class TestRefineGroundTruth:
 
     def test_distance_turning_nan_after_the_start_raises(self):
         traj = make_line_trajectory(0, 1, 0, 0.25)
-        with pytest.raises(ConvergenceError, match="not finite"):
+        # the step to 0.72 is finite; the distance there is not
+        message = r"^the target position or distance at t = 0\.72 is not finite$"
+        with pytest.raises(ConvergenceError, match=message):
             refine_ground_truth(NanAfterStartPlant(), traj, 0.1)
 
-    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
-    def test_target_fleeing_to_infinity_raises(self, plant):
+    @pytest.mark.parametrize(
+        ("plant", "message"),
+        [
+            (SIMPLE_MOTIONS, r"^the step after t = \S+ is not finite \(t_next = inf\)$"),
+            (
+                DUBINS_CAR,
+                r"^the target position or distance at t = 1\.367\d*e\+308 is not finite$",
+            ),
+        ],
+        ids=["simple", "dubins"],
+    )
+    def test_target_fleeing_to_infinity_raises(self, plant, message):
         # t overflows first on the simple plant (once returned as t_ref = inf),
         # the target position first on the Dubins plant (once an AssertionError)
         traj = make_line_trajectory(0, 1, math.pi / 2, 1.5)
         times = []
-        with pytest.raises(ConvergenceError, match="not finite"):
+        with pytest.raises(ConvergenceError, match=message):
             times.extend(refine_iterates(plant, traj, 0.1))
         assert len(times) > 1000
         assert all(math.isfinite(t) for t in times)
