@@ -1,9 +1,10 @@
 """Distance evaluations per solve on the shipped scenarios.
 
 One solve should cost one distance evaluation per iterate, plus the one
-that guards path reconstruction, and one Dubins distance should classify
-its query once. The counts are deterministic, so these tests stop a
-refactor from silently re-evaluating the distance or its case analysis.
+that guards path reconstruction, and one Dubins distance should run its
+case analysis once, on floats, with one cubic solve per CC query. The
+counts are deterministic, so these tests stop a refactor from silently
+re-evaluating the distance or its case analysis.
 Every trajectory kind is evaluated once per iterate through
 ``TargetTrajectory.position``.
 """
@@ -74,19 +75,24 @@ def test_shipped_scenarios_evaluate_at_most_iterations_plus_two(distance_calls, 
     assert sum(distance_calls.values()) == distance_calls[plant_name]
 
 
-def test_table_classifies_each_dubins_query_once(distance_calls, monkeypatch):
-    classify_calls = 0
-    original = dubins.classify
+def test_table_dubins_layer_counts(distance_calls, monkeypatch):
+    # the distance runs its case analysis on floats: the PlanarPoint
+    # wrappers classify and theta_cs are never called, and the CC branch
+    # still calls cc_cubic_roots by name, once per CC query
+    calls = {"cc_cubic_roots": 0, "classify": 0, "theta_cs": 0}
 
-    def counting(y):
-        nonlocal classify_calls
-        classify_calls += 1
-        return original(y)
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(dubins, "classify", counting)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dubins, name, counting(name, getattr(dubins, name)))
     run_table()
     assert distance_calls["dubins"] == 1362
-    assert classify_calls <= distance_calls["dubins"]
+    assert calls == {"cc_cubic_roots": 428, "classify": 0, "theta_cs": 0}
 
 
 @pytest.mark.parametrize(
