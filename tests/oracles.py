@@ -1,9 +1,12 @@
 """Independent reference computations used by the tests.
 
-Everything here deliberately avoids the code paths it is used to check:
-the line-interception time comes from a quadratic in closed form, and the
-Dubins reference distance from dense sampling of the boundary curves with
-local golden-section refinement.
+Everything here except ``reference_dubins_distance`` deliberately avoids
+the code paths it is used to check: the line-interception time comes from a
+quadratic in closed form, and the Dubins reference distance from dense
+sampling of the boundary curves with local golden-section refinement.
+``reference_dubins_distance`` is the other kind of reference: the Dubins
+case analysis composed from the public point functions, which must agree
+with ``dubins.distance`` bit for bit.
 """
 
 from __future__ import annotations
@@ -120,3 +123,51 @@ class DubinsBoundaryOracle:
 
     def distances(self, points: list[PlanarPoint], refine_below: float = 0.05) -> list[float]:
         return [self.distance(p, refine_below) for p in points]
+
+
+def reference_dubins_distance(t: float, y: PlanarPoint) -> float:
+    """``dubins.distance`` composed from ``classify``, ``theta_cs``, ``v_cs``, ``v_cc``.
+
+    The region, then (off D_I) the CS angle and length decide containment and
+    whether the CS family is nearest; otherwise the nearest point of the CC
+    family is searched over ``cc_cubic_roots`` with one PlanarPoint per
+    candidate arc split. Each float expression matches the kernel's.
+    """
+    region = dubins.classify(y)
+    if region is dubins.DubinsRegion.D_I:
+        if reference_dubins_contains(t, y):
+            return 0.0
+        return _reference_cc_distance(t, y)
+    theta, length = dubins.theta_cs(y), dubins.v_cs(y)
+    if reference_dubins_contains(t, y):
+        return 0.0
+    if theta <= t and (region is dubins.DubinsRegion.D_II or length >= t):
+        return length - t
+    return _reference_cc_distance(t, y)
+
+
+def reference_dubins_contains(t: float, y: PlanarPoint) -> bool:
+    """``dubins.contains`` from the region, the CS length and the CC window."""
+    region = dubins.classify(y)
+    plus, minus = dubins.v_cc(y, region)
+    if region is dubins.DubinsRegion.D_II:
+        return t >= dubins.v_cs(y)
+    if region is dubins.DubinsRegion.D_I:
+        return t >= minus or (t == 0.0 and y.x == 0.0 and y.y == 0.0)
+    return t >= dubins.v_cs(y) and (t >= minus or plus >= t)
+
+
+def _reference_cc_distance(t: float, y: PlanarPoint) -> float:
+    mirrored = PlanarPoint(abs(y.x), y.y)
+    hi = min(t, math.pi / 2.0)
+    third = t / 3.0
+    taus = [0.0, hi]
+    taus += [(third - 2.0 * math.atan(xi)) % dubins.TWO_PI for xi in dubins.cc_cubic_roots(t, y)]
+    if abs(y.y + math.sin(third)) <= 1e-12:
+        taus.append((third - math.pi) % dubins.TWO_PI)
+    best = math.inf
+    for tau in taus:
+        if 0.0 <= tau <= hi:
+            point = PlanarPoint(dubins.x_lr(tau, t), dubins.y_lr(tau, t))
+            best = min(best, math.hypot(mirrored.x - point.x, mirrored.y - point.y))
+    return best

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intercept import dubins
 from intercept.core import PlanarPoint
@@ -21,7 +21,7 @@ from intercept.dubins import (
     x_lr,
     y_lr,
 )
-from oracles import DubinsBoundaryOracle
+from oracles import DubinsBoundaryOracle, reference_dubins_contains, reference_dubins_distance
 
 times = st.floats(min_value=0, max_value=12, allow_nan=False)
 coords = st.floats(min_value=-8, max_value=8, allow_nan=False)
@@ -227,6 +227,77 @@ class TestDistance:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             distance(-1.0, PlanarPoint(0, 1))
+
+
+def _outcome(fn, t, p):
+    """The answer as ``float.hex`` (or the bool), or the type of the error raised."""
+    try:
+        value = fn(t, p)
+    except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+        return type(exc)
+    return value.hex() if isinstance(value, float) else value
+
+
+def _signed_zero_x(y):
+    return st.sampled_from([0.0, -0.0]).map(lambda x: PlanarPoint(x, y))
+
+
+tiny = st.floats(min_value=-1e-12, max_value=1e-12, allow_nan=False)
+angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
+mirror = st.sampled_from([1.0, -1.0])
+kernel_points = st.one_of(
+    points,
+    coords.flatmap(_signed_zero_x),
+    st.sampled_from([PlanarPoint(0.0, 0.0), PlanarPoint(-0.0, 0.0), PlanarPoint(0.0, -0.0)]),
+    # within 1e-12 of the turning circle |(|x|, y) - (1, 0)| = 1 (the D_I border)
+    st.builds(
+        lambda a, d, m: PlanarPoint(m * (1.0 + (1.0 + d) * math.cos(a)), (1.0 + d) * math.sin(a)),
+        angles,
+        tiny,
+        mirror,
+    ),
+    # within 1e-12 of the circle |(|x|, y) + (1, 0)| = 3 above the axis (alpha_cc = -1)
+    st.builds(
+        lambda a, d, m: PlanarPoint(m * ((3.0 + d) * math.cos(a) - 1.0), (3.0 + d) * math.sin(a)),
+        st.floats(min_value=0.0, max_value=math.acos(1.0 / 3.0), allow_nan=False),
+        tiny,
+        mirror,
+    ),
+    # within 1e-12 of the x-axis, the lower edge of D_III
+    st.builds(PlanarPoint, coords, tiny),
+)
+
+
+class TestFloatKernel:
+    """``distance`` and ``contains`` equal the composed reference bit for bit."""
+
+    @given(times, kernel_points)
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_composed_reference(self, t, p):
+        assert _outcome(distance, t, p) == _outcome(reference_dubins_distance, t, p)
+        assert _outcome(contains, t, p) == _outcome(reference_dubins_contains, t, p)
+
+    @given(
+        st.floats(min_value=0.01, max_value=12, allow_nan=False),
+        st.integers(min_value=0, max_value=35),
+        st.sampled_from([0.0, -1e-9, 1e-9, -0.25, 0.25]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_composed_reference_on_the_boundary(self, t, i, dt):
+        # boundary samples at their own time, and just before and after it
+        p = boundary_points(t, 9)[i]
+        s = max(t + dt, 0.0)
+        assert _outcome(distance, s, p) == _outcome(reference_dubins_distance, s, p)
+        assert _outcome(contains, s, p) == _outcome(reference_dubins_contains, s, p)
+
+    @given(kernel_points, st.sampled_from([theta_cs, v_cs]), st.sampled_from([0.0, -1e-9, 1e-9]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_composed_reference_at_the_cs_times(self, p, cs_time, dt):
+        # at the CS angle and length, where containment, the CS step and the CC search meet
+        assume(alpha_cs(p) >= 0.0)
+        t = max(cs_time(p) + dt, 0.0)
+        assert _outcome(distance, t, p) == _outcome(reference_dubins_distance, t, p)
+        assert _outcome(contains, t, p) == _outcome(reference_dubins_contains, t, p)
 
 
 class TestBestEstimator:
