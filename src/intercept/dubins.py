@@ -49,11 +49,9 @@ class DubinsRegion(enum.Enum):
 # looked up once: reading a member off an Enum class costs about 0.15 us
 _D_I, _D_II, _D_III = DubinsRegion
 
-# --- the case analysis on (|x|, y) ------------------------------------------
-#
-# Each float expression is written once, in a helper over ax = |x| and yy = y.
-# ``distance`` (after the cubic solver) runs them in one pass; the PlanarPoint
-# functions below wrap the same helpers.
+
+# --- the case analysis on ax = |x| and yy = y, each float expression once ----
+# ``distance`` runs these helpers in one pass; the PlanarPoint functions wrap them.
 
 
 def _case(ax: float, yy: float) -> tuple[DubinsRegion, float, float]:
@@ -124,11 +122,7 @@ def _contains(
 
 
 def alpha_cs(y: PlanarPoint) -> float:
-    """Discriminant of the CS family: negative inside the open turning disks.
-
-    Evaluated as |x|(|x| - 2) + y^2, which is exact where the textbook form
-    (1 - |x|)^2 + y^2 - 1 cancels catastrophically for tiny |x|.
-    """
+    """Discriminant of the CS family: negative inside the open turning disks."""
     return _case(abs(y.x), y.y)[1]
 
 
@@ -288,7 +282,7 @@ def _cc_nearest(t: float, ax: float, yy: float, roots: list[float]) -> tuple[flo
     best_tau, best_dist = None, math.inf
     for tau in cands:
         if 0.0 <= tau <= hi:
-            # the point (x_lr(tau, t), y_lr(tau, t))
+            # x_lr and y_lr inline: this loop runs for every CC query
             px = 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
             py = 2.0 * math.sin(tau) + math.sin(t - 2.0 * tau)
             dist = math.hypot(ax - px, yy - py)

@@ -78,9 +78,8 @@ class PlantModel(abc.ABC):
         Finds the smallest s >= t with distance(s, y) = v*(s - t) + ell by the
         safe-step iteration applied to the frozen point y against an
         inflating capture margin, until the inner step drops below
-        1e-15*(1 + s). A distance that is not finite ends the search at s,
-        where the caller's own evaluation meets it. Plants with a closed
-        form override this.
+        1e-15*(1 + s) or the distance at s is not finite. Plants with a
+        closed form override this.
         """
         s = t
         gap = rho - ell

@@ -202,7 +202,6 @@ def refine_iterates(
         # before resuming, so the budget's last time is yielded but not evaluated
         if n + 1 >= max_iterations:
             raise ConvergenceError(f"no convergence within {max_iterations} iterations")
-    # _iterates stopped on the target position or the distance at t_next
     raise ConvergenceError(f"the target position or distance at t = {t_next} is not finite")
 
 
