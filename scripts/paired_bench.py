@@ -28,7 +28,7 @@ import sys
 
 
 class RunError(ValueError):
-    """A run the summary must not use: incorrect, failed operations, or no result."""
+    """A run the summary must not use: not correct, or with failed operations."""
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
@@ -73,11 +73,11 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         q1, med, q3 = _quartiles(parent)
         change_med = statistics.median(change)
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        rel = (change_med - med) / med if med else 0.0
         gain = (change_med - med) if higher else (med - change_med)
-        rel = gain / med if med else 0.0
         if wins >= 0.9 * len(pairs) and gain > q3 - q1:
             verdict = "gain"
-        elif -rel > metric["bound"]:
+        elif (-rel if higher else rel) > metric["bound"]:
             verdict = f"WORSE beyond the {metric['bound']} bound"
         elif med and (q3 - q1) / med > metric["bound"] and not (
             min(change) > max(parent) if higher else max(change) < min(parent)
@@ -87,7 +87,7 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
             verdict = "within the bound"
         lines.append(
             f"{name} ({metric['unit']}): {med:.6g} [IQR {q1:.6g}-{q3:.6g}] -> {change_med:.6g}"
-            f" ({rel:+.1%} better), change better in {wins} of {len(pairs)}: {verdict}"
+            f" ({rel:+.1%}), change better in {wins} of {len(pairs)}: {verdict}"
         )
     return lines
 

@@ -36,11 +36,11 @@ def test_a_clear_gain():
     ops, p50 = paired_bench.summarise(pairs, METRICS)
     # parent 100..109: median 104.5, quartiles 102.25 and 106.75
     assert ops == (
-        "ops_per_s (1/s): 104.5 [IQR 102.25-106.75] -> 134.5 (+28.7% better),"
+        "ops_per_s (1/s): 104.5 [IQR 102.25-106.75] -> 134.5 (+28.7%),"
         " change better in 10 of 10: gain"
     )
     assert p50 == (
-        "op_ms_p50 (ms): 10 [IQR 10-10] -> 8 (+20.0% better), change better in 10 of 10: gain"
+        "op_ms_p50 (ms): 10 [IQR 10-10] -> 8 (-20.0%), change better in 10 of 10: gain"
     )
 
 
