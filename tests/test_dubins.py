@@ -238,6 +238,11 @@ def _outcome(fn, t, p):
     return value.hex() if isinstance(value, float) else value
 
 
+def _assert_matches_reference(t, p):
+    assert _outcome(distance, t, p) == _outcome(reference_dubins_distance, t, p)
+    assert _outcome(contains, t, p) == _outcome(reference_dubins_contains, t, p)
+
+
 def _signed_zero_x(y):
     return st.sampled_from([0.0, -0.0]).map(lambda x: PlanarPoint(x, y))
 
@@ -274,8 +279,7 @@ class TestFloatKernel:
     @given(times, kernel_points)
     @settings(max_examples=600, deadline=None)
     def test_matches_the_composed_reference(self, t, p):
-        assert _outcome(distance, t, p) == _outcome(reference_dubins_distance, t, p)
-        assert _outcome(contains, t, p) == _outcome(reference_dubins_contains, t, p)
+        _assert_matches_reference(t, p)
 
     @given(
         st.floats(min_value=0.01, max_value=12, allow_nan=False),
@@ -286,18 +290,14 @@ class TestFloatKernel:
     def test_matches_the_composed_reference_on_the_boundary(self, t, i, dt):
         # boundary samples at their own time, and just before and after it
         p = boundary_points(t, 9)[i]
-        s = max(t + dt, 0.0)
-        assert _outcome(distance, s, p) == _outcome(reference_dubins_distance, s, p)
-        assert _outcome(contains, s, p) == _outcome(reference_dubins_contains, s, p)
+        _assert_matches_reference(max(t + dt, 0.0), p)
 
     @given(kernel_points, st.sampled_from([theta_cs, v_cs]), st.sampled_from([0.0, -1e-9, 1e-9]))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_composed_reference_at_the_cs_times(self, p, cs_time, dt):
         # at the CS angle and length, where containment, the CS step and the CC search meet
         assume(alpha_cs(p) >= 0.0)
-        t = max(cs_time(p) + dt, 0.0)
-        assert _outcome(distance, t, p) == _outcome(reference_dubins_distance, t, p)
-        assert _outcome(contains, t, p) == _outcome(reference_dubins_contains, t, p)
+        _assert_matches_reference(max(cs_time(p) + dt, 0.0), p)
 
 
 class TestBestEstimator:
