@@ -3,9 +3,9 @@
 
 Run ``python3 scripts/make_golden.py`` from anywhere. Every section is
 recomputed and written in the file's layout: one table cell, iterate, SVG
-digest or track entry per line, five Dubins distances and forty ``contains``
-answers per line. On an unchanged tree the file comes out byte-identical, so
-``git diff tests/golden.json`` shows exactly the values a change moved.
+digest or track entry per line, five Dubins distances per line. On an
+unchanged tree the file comes out byte-identical, so ``git diff
+tests/golden.json`` shows exactly the values a change moved.
 """
 
 import json
@@ -50,7 +50,6 @@ def golden_text() -> str:
     tracks = [(name, json.dumps(golden.track_digests(name))) for name in sorted(golden.TRACKS)]
     dubins = [
         ("distance", _array(golden.dubins_distances(), "   ", 5)),
-        ("contains", _array(golden.dubins_contains(), "   ", 40)),
     ]
     sections = [
         ("table", _array(golden.table_entries(), "  ")),

@@ -28,7 +28,7 @@ from .plants import (
     SimpleMotions,
     get_plant,
 )
-from .dubins import DUBINS_CAR, DubinsCar, DubinsRegion
+from .dubins import DUBINS_CAR, DubinsCar
 from .solver import (
     ConvergenceError,
     EstimatorKind,
@@ -58,7 +58,6 @@ __all__ = [
     "CustomTrajectory",
     "DUBINS_CAR",
     "DubinsCar",
-    "DubinsRegion",
     "EstimatorKind",
     "InterceptionPath",
     "LineTrajectory",

@@ -164,12 +164,15 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
         speeds = [0.0]
         segments = zip(times, times[1:], xs, xs[1:], ys, ys[1:])
         for i, (t0, t1, x0, x1, y0, y1) in enumerate(segments, start=1):
-            if t1 <= t0:
+            if not t1 > t0:
                 raise ValueError(
                     f"sample times must be strictly increasing: sample #{i} is at "
                     f"t = {t1}, after t = {t0}"
                 )
             speeds.append(math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
+        if math.isnan(sum(speeds)):  # speeds are >= 0: NaN only where one of them is
+            i = next(i for i, speed in enumerate(speeds) if math.isnan(speed))
+            raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is NaN")
         for name, value in zip(("times", "xs", "ys", "speed_bound"), (*columns, max(speeds))):
             object.__setattr__(self, name, value)
 

@@ -51,7 +51,7 @@ _D_I, _D_II, _D_III = DubinsRegion
 
 
 # --- the case analysis on ax = |x| and yy = y, each float expression once ----
-# ``distance`` runs these helpers in one pass; the PlanarPoint functions wrap them.
+# ``distance`` and ``DubinsCar.path`` run these helpers on floats.
 
 
 def _case(ax: float, yy: float) -> tuple[DubinsRegion, float, float]:
@@ -103,32 +103,7 @@ def _cc_lengths(ax: float, yy: float, a_cc: float) -> tuple[float, float]:
     return theta_plus + acos_a, theta_minus + TWO_PI - acos_a
 
 
-def _contains(
-    t: float, ax: float, yy: float, region: DubinsRegion, a_cc: float, length_cs: float | None
-) -> bool:
-    """``contains(t, y)`` from ``_case`` and, off D_I, the CS length."""
-    if region is _D_II:
-        return t >= length_cs
-    if region is _D_I:
-        return t >= _cc_lengths(ax, yy, a_cc)[1] or (t == 0.0 and ax == 0.0 and yy == 0.0)
-    # D_III: the CS length must be met, and the CC window must not exclude t
-    if t < length_cs:
-        return False
-    plus, minus = _cc_lengths(ax, yy, a_cc)
-    return t >= minus or plus >= t
-
-
 # --- the same case analysis on PlanarPoint queries ---------------------------
-
-
-def alpha_cs(y: PlanarPoint) -> float:
-    """Discriminant of the CS family: negative inside the open turning disks."""
-    return _case(abs(y.x), y.y)[1]
-
-
-def alpha_cc(y: PlanarPoint) -> float:
-    """Cosine of the second-arc angle of the shortest CC path to y."""
-    return _case(abs(y.x), y.y)[2]
 
 
 def classify(y: PlanarPoint) -> DubinsRegion:
@@ -138,39 +113,8 @@ def classify(y: PlanarPoint) -> DubinsRegion:
 
 def theta_cs(y: PlanarPoint) -> float:
     """First-arc angle of the length-minimizing CS path to y, in [0, 2*pi)."""
-    return _cs(abs(y.x), y.y, alpha_cs(y))[0]
-
-
-def v_cs(y: PlanarPoint) -> float:
-    """Length of the shortest CS path to y (arc angle plus tangent length).
-
-    Defined everywhere except inside the open turning disks (D_I away from
-    the origin), where ``theta_cs`` raises.
-    """
-    return _cs(abs(y.x), y.y, alpha_cs(y))[1]
-
-
-def v_cc(y: PlanarPoint, region: DubinsRegion) -> tuple[float | None, float | None]:
-    """Lengths of the two CC paths to y, where its region admits them.
-
-    ``region`` is ``classify(y)``. Returns (plus, minus); the plus branch
-    exists only on D_III, the minus branch on D_I and D_III, and neither on
-    D_II.
-    """
-    if region is _D_II:
-        return None, None
-    plus, minus = _cc_lengths(abs(y.x), y.y, alpha_cc(y))
-    return (plus if region is _D_III else None), minus
-
-
-def contains(t: float, y: PlanarPoint) -> bool:
-    """Whether the car can occupy y at exactly time t."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
     ax, yy = abs(y.x), y.y
-    region, a_cs, a_cc = _case(ax, yy)
-    length_cs = None if region is _D_I else _cs(ax, yy, a_cs)[1]
-    return _contains(t, ax, yy, region, a_cc, length_cs)
+    return _cs(ax, yy, _case(ax, yy)[1])[0]
 
 
 # --- boundary parameterizations ---------------------------------------------
@@ -252,16 +196,17 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
 
 def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
     """Real roots of the stationarity cubic for the CC distance at (t, y)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     third = t / 3.0
+    sin3, cos3 = math.sin(third), math.cos(third)
     ax = abs(y.x)
     # b >= 2 and d <= 0, so c^2 - 4bd >= 0: the quadratic that a negligible a
     # leaves always has real roots, which _real_cubic_roots relies on
-    a = -(y.y + math.sin(third))
-    b = 3.0 + 3.0 * ax + math.cos(third)
-    c = 3.0 * y.y - math.sin(third)
-    d = math.cos(third) - (1.0 + ax)
+    a = -(y.y + sin3)
+    b = 3.0 + 3.0 * ax + cos3
+    c = 3.0 * y.y - sin3
+    d = cos3 - (1.0 + ax)
     return _real_cubic_roots(a, b, c, d)
 
 
@@ -288,7 +233,8 @@ def _cc_nearest(t: float, ax: float, yy: float, roots: list[float]) -> tuple[flo
             dist = math.hypot(ax - px, yy - py)
             if dist < best_dist:
                 best_tau, best_dist = tau, dist
-    assert best_tau is not None
+    if best_tau is None:  # a NaN or an infinity in the query
+        raise ValueError(f"no finite CC distance to (|x|, y) = ({ax}, {yy}) at t = {t}")
     return best_tau, best_dist
 
 
@@ -297,19 +243,26 @@ def distance(t: float, y: PlanarPoint) -> float:
 
     One pass over (|x|, y): the region, then (off D_I) the CS angle and length
     decide containment and whether the nearest boundary point lies on the
-    CS family; otherwise it lies on the CC family.
+    CS family; otherwise it lies on the CC family. The car can occupy y at
+    time t exactly when this returns 0.0.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     ax, yy = abs(y.x), y.y
     region, a_cs, a_cc = _case(ax, yy)
     if region is _D_I:
-        if _contains(t, ax, yy, region, a_cc, None):
+        # reachable once the CC minus path fits, and the origin at t = 0
+        if t >= _cc_lengths(ax, yy, a_cc)[1] or (t == 0.0 and ax == 0.0 and yy == 0.0):
             return 0.0
         return _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))[1]
     theta, length = _cs(ax, yy, a_cs)
-    if _contains(t, ax, yy, region, a_cc, length):
-        return 0.0
+    if t >= length:
+        if region is _D_II:
+            return 0.0
+        # D_III: reachable unless t falls inside the CC window (plus, minus)
+        plus, minus = _cc_lengths(ax, yy, a_cc)
+        if t >= minus or plus >= t:
+            return 0.0
     if theta <= t and (region is _D_II or length >= t):
         return length - t
     return _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))[1]
@@ -348,7 +301,7 @@ class DubinsCar(PlantModel):
         """Largest known-safe step t + (rho - ell)/(1 + v), rho = distance(t, y).
 
         Exact where the CS family is nearest (rho is then the remaining CS
-        length v_cs(y) - t); elsewhere the generic distance-closing step.
+        path length); elsewhere the generic distance-closing step.
         """
         if rho <= ell:
             raise ValueError("point already within capture distance")

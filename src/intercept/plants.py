@@ -122,7 +122,7 @@ class PlantModel(abc.ABC):
 
 def simple_distance(t: float, y: PlanarPoint) -> float:
     """Distance from y to the disk of radius t centered at the origin."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be >= 0, got {t}")
     return max(y.norm() - t, 0.0)
 
@@ -137,7 +137,7 @@ class SimpleMotions(PlantModel):
 
     def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
         """Largest safe step toward the capture time; exact for this plant."""
-        if t < 0:
+        if not t >= 0:
             raise ValueError(f"time must be >= 0, got {t}")
         # (|y| + v*t - ell)/(1 + v) reads |y| directly; the same step written
         # through rho would round differently

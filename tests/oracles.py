@@ -5,8 +5,9 @@ the code paths it is used to check: the line-interception time comes from a
 quadratic in closed form, and the Dubins reference distance from dense
 sampling of the boundary curves with local golden-section refinement.
 ``reference_dubins_distance`` is the other kind of reference: the Dubins
-case analysis composed from the public point functions, which must agree
-with ``dubins.distance`` bit for bit.
+case analysis composed from ``classify``, ``theta_cs`` and the float helpers
+``_case``, ``_cs`` and ``_cc_lengths``, which must agree with
+``dubins.distance`` bit for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class DubinsBoundaryOracle:
         return -x, y
 
     def distance(self, p: PlanarPoint, refine_below: float = 0.05) -> float:
-        if dubins.contains(self.t, p):
+        if reference_dubins_contains(self.t, p):
             return 0.0
         best = math.inf
         for params, xs, ys, point_fn in self.families:
@@ -126,7 +127,7 @@ class DubinsBoundaryOracle:
 
 
 def reference_dubins_distance(t: float, y: PlanarPoint) -> float:
-    """``dubins.distance`` composed from ``classify``, ``theta_cs``, ``v_cs``, ``v_cc``.
+    """``dubins.distance`` composed from ``classify``, ``theta_cs`` and the float helpers.
 
     The region, then (off D_I) the CS angle and length decide containment and
     whether the CS family is nearest; otherwise the nearest point of the CC
@@ -138,7 +139,8 @@ def reference_dubins_distance(t: float, y: PlanarPoint) -> float:
         if reference_dubins_contains(t, y):
             return 0.0
         return _reference_cc_distance(t, y)
-    theta, length = dubins.theta_cs(y), dubins.v_cs(y)
+    ax, yy = abs(y.x), y.y
+    theta, length = dubins.theta_cs(y), dubins._cs(ax, yy, dubins._case(ax, yy)[1])[1]
     if reference_dubins_contains(t, y):
         return 0.0
     if theta <= t and (region is dubins.DubinsRegion.D_II or length >= t):
@@ -147,14 +149,16 @@ def reference_dubins_distance(t: float, y: PlanarPoint) -> float:
 
 
 def reference_dubins_contains(t: float, y: PlanarPoint) -> bool:
-    """``dubins.contains`` from the region, the CS length and the CC window."""
+    """Whether the car can occupy y at time t: the region, the CS length, the CC window."""
+    ax, yy = abs(y.x), y.y
+    _, a_cs, a_cc = dubins._case(ax, yy)
     region = dubins.classify(y)
-    plus, minus = dubins.v_cc(y, region)
     if region is dubins.DubinsRegion.D_II:
-        return t >= dubins.v_cs(y)
+        return t >= dubins._cs(ax, yy, a_cs)[1]
+    plus, minus = dubins._cc_lengths(ax, yy, a_cc)
     if region is dubins.DubinsRegion.D_I:
         return t >= minus or (t == 0.0 and y.x == 0.0 and y.y == 0.0)
-    return t >= dubins.v_cs(y) and (t >= minus or plus >= t)
+    return t >= dubins._cs(ax, yy, a_cs)[1] and (t >= minus or plus >= t)
 
 
 def _reference_cc_distance(t: float, y: PlanarPoint) -> float:

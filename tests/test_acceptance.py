@@ -23,7 +23,7 @@ from intercept.core import (
     make_lissajous_trajectory,
     make_piecewise_linear_trajectory,
 )
-from intercept.dubins import DUBINS_CAR, DubinsRegion, classify, theta_cs, v_cs
+from intercept.dubins import DUBINS_CAR, DubinsRegion, _case, _cs
 from intercept.plants import SIMPLE_MOTIONS, get_plant
 from intercept.scenario import Scenario, emit_scenario, parse_scenario
 from intercept.solver import (
@@ -225,11 +225,13 @@ def test_criterion_6_estimator_relations():
                 assert abs(b - s) <= 1e-12
                 simple_equal_checked += 1
             else:
-                on_lemma_domain = (
-                    classify(p) is not DubinsRegion.D_I
-                    and theta_cs(p) <= t
-                    and (classify(p) is DubinsRegion.D_II or v_cs(p) >= t)
-                )
+                region, a_cs, _ = _case(abs(p.x), p.y)
+                on_lemma_domain = False
+                if region is not DubinsRegion.D_I:
+                    theta, length = _cs(abs(p.x), p.y, a_cs)
+                    on_lemma_domain = theta <= t and (
+                        region is DubinsRegion.D_II or length >= t
+                    )
                 if on_lemma_domain:
                     assert abs(b - s) <= 1e-12
                     lemma_domain_checked += 1

@@ -197,6 +197,19 @@ class TestPiecewiseLinearTrajectory:
             with pytest.raises(ValueError, match="differ in length"):
                 PiecewiseLinearTrajectory(*columns)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((0.0, math.nan, 2.0), (0.0, 1.0, 30.0), (0.0, 0.0, 0.0)), "strictly increasing"),
+            (((0.0, 1.0, 2.0), (0.0, math.nan, 30.0), (0.0, 0.0, 0.0)), "#0 to sample #1 is NaN"),
+            (((0.0, 1.0, 2.0), (0.0, 1.0, 30.0), (0.0, 0.0, math.nan)), "#1 to sample #2 is NaN"),
+        ],
+    )
+    def test_nan_samples_rejected(self, columns, message):
+        # a NaN speed would drop out of max() and understate the bound
+        with pytest.raises(ValueError, match=message):
+            PiecewiseLinearTrajectory(*columns)
+
 
 @st.composite
 def trajectories(draw):

@@ -9,18 +9,18 @@ from intercept.core import PlanarPoint
 from intercept.dubins import (
     DUBINS_CAR,
     DubinsRegion,
-    alpha_cs,
+    _case,
+    _cc_lengths,
+    _cs,
     boundary_points,
     cc_cubic_roots,
     classify,
-    contains,
     distance,
     theta_cs,
-    v_cc,
-    v_cs,
     x_lr,
     y_lr,
 )
+from intercept.plants import SIMPLE_MOTIONS
 from oracles import DubinsBoundaryOracle, reference_dubins_contains, reference_dubins_distance
 
 times = st.floats(min_value=0, max_value=12, allow_nan=False)
@@ -63,42 +63,45 @@ class TestThetaCS:
 
 
 class TestVCS:
+    """The CS path length, the second value of ``_cs`` on (|x|, y, alpha_cs)."""
+
     def test_straight_segment(self):
-        assert v_cs(PlanarPoint(0, 2)) == 2.0
+        assert _cs(0.0, 2.0, _case(0.0, 2.0)[1])[1] == 2.0
 
     def test_half_circle(self):
-        assert v_cs(PlanarPoint(2, 0)) == pytest.approx(math.pi)
+        assert _cs(2.0, 0.0, _case(2.0, 0.0)[1])[1] == pytest.approx(math.pi)
 
     def test_straight_far(self):
-        assert v_cs(PlanarPoint(0, 3)) == 3.0
+        assert _cs(0.0, 3.0, _case(0.0, 3.0)[1])[1] == 3.0
 
     def test_origin_allowed(self):
-        assert v_cs(PlanarPoint(0, 0)) == 0.0
+        assert _cs(0.0, 0.0, _case(0.0, 0.0)[1])[1] == 0.0
 
     def test_domain_error_on_d1(self):
         with pytest.raises(ValueError):
-            v_cs(PlanarPoint(0.5, 0.1))
+            _cs(0.5, 0.1, _case(0.5, 0.1)[1])
 
 
 class TestVCC:
+    """The CC path lengths (plus, minus) of ``_cc_lengths`` on (|x|, y, alpha_cc)."""
+
     def test_origin_full_circle(self):
-        plus, minus = v_cc(PlanarPoint(0, 0), DubinsRegion.D_I)
-        assert plus is None
+        _, minus = _cc_lengths(0.0, 0.0, _case(0.0, 0.0)[2])
         assert minus == pytest.approx(2 * math.pi, abs=1e-12)
 
     def test_d1_point_has_only_minus(self):
-        plus, minus = v_cc(PlanarPoint(0.5, 0.1), DubinsRegion.D_I)
-        assert plus is None
-        assert minus is not None and minus > 0
-
-    def test_d2_has_neither(self):
-        assert v_cc(PlanarPoint(0, 3), DubinsRegion.D_II) == (None, None)
+        # no plus window: unreachable before the minus length, reachable from it on
+        p = PlanarPoint(0.5, 0.1)
+        _, minus = _cc_lengths(0.5, 0.1, _case(0.5, 0.1)[2])
+        assert minus > 0
+        assert all(distance(minus * k / 50, p) > 0.0 for k in range(50))
+        assert all(distance(minus + k / 10, p) == 0.0 for k in range(50))
 
     def test_minus_matches_first_passage_of_turn_turn_curve(self):
         # the first time a D_I point becomes reachable, a left-right path of
         # that exact duration must pass through it
         p = PlanarPoint(0.5, 0.1)
-        _, minus = v_cc(p, classify(p))
+        _, minus = _cc_lengths(0.5, 0.1, _case(0.5, 0.1)[2])
         taus = np.linspace(0.0, math.pi / 2, 4001)
         found = None
         for t in np.arange(0.005, 8.0, 0.005):
@@ -112,23 +115,26 @@ class TestVCC:
 
 
 class TestContains:
+    """The car can occupy y at time t exactly where ``distance(t, y) == 0.0``."""
+
     def test_origin_at_time_zero(self):
-        assert contains(0.0, PlanarPoint(0, 0))
+        assert distance(0.0, PlanarPoint(0, 0)) == 0.0
 
     def test_origin_needs_a_full_loop(self):
-        assert not contains(1.0, PlanarPoint(0, 0))
-        assert contains(2 * math.pi, PlanarPoint(0, 0))
+        assert distance(1.0, PlanarPoint(0, 0)) > 0.0
+        assert distance(2 * math.pi, PlanarPoint(0, 0)) == 0.0
 
     def test_boundary_case(self):
-        assert contains(2.0, PlanarPoint(0, 2))
+        assert distance(2.0, PlanarPoint(0, 2)) == 0.0
 
     def test_d1_point_not_yet_reachable(self):
-        assert not contains(1.0, PlanarPoint(0.5, 0.1))
+        assert distance(1.0, PlanarPoint(0.5, 0.1)) > 0.0
 
     @given(times, points)
     @settings(max_examples=300, deadline=None)
     def test_membership_implies_zero_distance(self, t, p):
-        if contains(t, p):
+        # the path-length membership test the boundary oracle relies on
+        if reference_dubins_contains(t, p):
             assert distance(t, p) == 0.0
 
     def test_membership_iff_small_distance_on_random_sample(self):
@@ -138,7 +144,7 @@ class TestContains:
         for _ in range(2000):
             t = float(rng.uniform(0, 12))
             p = PlanarPoint(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)))
-            assert contains(t, p) == (distance(t, p) <= 1e-9)
+            assert reference_dubins_contains(t, p) == (distance(t, p) <= 1e-9)
 
 
 class TestCubicRoots:
@@ -229,6 +235,30 @@ class TestDistance:
             distance(-1.0, PlanarPoint(0, 1))
 
 
+@pytest.mark.parametrize(
+    "x, y", [(math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1), (0.5, math.inf), (0.5, -math.inf)]
+)
+def test_non_finite_point_is_a_value_error(x, y):
+    with pytest.raises(ValueError, match="no finite CC distance"):
+        distance(1.0, PlanarPoint(x, y))
+    with pytest.raises(ValueError, match="no finite CC distance"):
+        DUBINS_CAR.path(1.0, PlanarPoint(x, y), 0.1, 1.0)
+
+
+def test_nan_time_is_a_value_error_on_both_plants():
+    p = PlanarPoint(0.5, 0.1)
+    nan_time = "time must be >= 0, got nan"
+    for plant in (SIMPLE_MOTIONS, DUBINS_CAR):
+        with pytest.raises(ValueError, match=nan_time):
+            plant.distance(math.nan, p)
+        with pytest.raises(ValueError, match=nan_time):
+            plant.path(math.nan, p, 0.1, 1.0)
+    with pytest.raises(ValueError, match=nan_time):
+        SIMPLE_MOTIONS.best_step(math.nan, PlanarPoint(3.0, 4.0), 1.0, 0.5, 0.1)
+    with pytest.raises(ValueError, match=nan_time):
+        cc_cubic_roots(math.nan, p)
+
+
 def _outcome(fn, t, p):
     """The answer as ``float.hex`` (or the bool), or the type of the error raised."""
     try:
@@ -240,7 +270,6 @@ def _outcome(fn, t, p):
 
 def _assert_matches_reference(t, p):
     assert _outcome(distance, t, p) == _outcome(reference_dubins_distance, t, p)
-    assert _outcome(contains, t, p) == _outcome(reference_dubins_contains, t, p)
 
 
 def _signed_zero_x(y):
@@ -274,7 +303,7 @@ kernel_points = st.one_of(
 
 
 class TestFloatKernel:
-    """``distance`` and ``contains`` equal the composed reference bit for bit."""
+    """``distance`` equals the composed reference bit for bit."""
 
     @given(times, kernel_points)
     @settings(max_examples=600, deadline=None)
@@ -292,12 +321,15 @@ class TestFloatKernel:
         p = boundary_points(t, 9)[i]
         _assert_matches_reference(max(t + dt, 0.0), p)
 
-    @given(kernel_points, st.sampled_from([theta_cs, v_cs]), st.sampled_from([0.0, -1e-9, 1e-9]))
+    @given(kernel_points, st.sampled_from([0, 1]), st.sampled_from([0.0, -1e-9, 1e-9]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_composed_reference_at_the_cs_times(self, p, cs_time, dt):
-        # at the CS angle and length, where containment, the CS step and the CC search meet
-        assume(alpha_cs(p) >= 0.0)
-        _assert_matches_reference(max(cs_time(p) + dt, 0.0), p)
+    def test_matches_the_composed_reference_at_the_cs_times(self, p, which, dt):
+        # at the CS angle (0) and length (1), where containment, the CS step
+        # and the CC search meet
+        ax, yy = abs(p.x), p.y
+        a_cs = _case(ax, yy)[1]
+        assume(a_cs >= 0.0)
+        _assert_matches_reference(max(_cs(ax, yy, a_cs)[which] + dt, 0.0), p)
 
 
 class TestBestEstimator:
@@ -325,20 +357,23 @@ class TestBestEstimator:
     @settings(max_examples=300, deadline=None)
     def test_closed_form_equals_distance_based_step_on_cs_domain(self, t, p):
         # where the turn+straight family is nearest, the distance is the
-        # remaining path length, so the exact CS step v_cs - t - ell and the
+        # remaining path length, so the exact CS step length - t - ell and the
         # distance-based step are the same float expression
-        if classify(p) is DubinsRegion.D_I:
+        ax, yy = abs(p.x), p.y
+        region, a_cs, _ = _case(ax, yy)
+        if region is DubinsRegion.D_I:
             return
-        if not (theta_cs(p) <= t):
+        theta, length = _cs(ax, yy, a_cs)
+        if not (theta <= t):
             return
-        if classify(p) is DubinsRegion.D_III and not (v_cs(p) >= t):
+        if region is DubinsRegion.D_III and not (length >= t):
             return
         rho = distance(t, p)
         if rho <= 0.1:
             return
-        assert rho == v_cs(p) - t
+        assert rho == length - t
         closed = DUBINS_CAR.best_step(t, p, rho, 0.5, 0.1)
-        assert closed == t + (v_cs(p) - t - 0.1) / 1.5
+        assert closed == t + (length - t - 0.1) / 1.5
 
 
 class TestBoundary:
@@ -451,24 +486,24 @@ class TestGeometryRecord:
     @given(points)
     @settings(max_examples=300)
     def test_record_invariants(self, p):
-        region = classify(p)
-        assert alpha_cs(p) == pytest.approx((1 - abs(p.x)) ** 2 + p.y**2 - 1, abs=1e-12)
+        ax, yy = abs(p.x), p.y
+        region, a_cs, a_cc = _case(ax, yy)
+        assert region is classify(p)
+        assert a_cs == pytest.approx((1 - ax) ** 2 + yy**2 - 1, abs=1e-12)
         at_origin = p.x == 0.0 and p.y == 0.0
         if region is not DubinsRegion.D_I or at_origin:
-            assert v_cs(p) >= theta_cs(p) - 1e-12
+            theta, length = _cs(ax, yy, a_cs)
+            assert theta == theta_cs(p)
+            assert length >= theta - 1e-12
         else:
             with pytest.raises(ValueError):
-                v_cs(p)
-        plus, minus = v_cc(p, region)
-        if plus is not None:
-            assert plus >= 0
-            assert region is DubinsRegion.D_III
-        if minus is not None:
-            assert minus >= 0
-            assert region in (DubinsRegion.D_I, DubinsRegion.D_III)
-        else:
-            assert region is DubinsRegion.D_II
+                _cs(ax, yy, a_cs)
+        if region is not DubinsRegion.D_II:
+            assert min(_cc_lengths(ax, yy, a_cc)) >= 0
 
     def test_plus_absent_off_lune(self):
+        # off D_III a point stays reachable once it is reached: no CC window
         for p in (PlanarPoint(0, 3), PlanarPoint(0.5, 0.1)):
-            assert v_cc(p, classify(p))[0] is None
+            reached = [distance(k / 20, p) == 0.0 for k in range(200)]
+            assert any(reached)
+            assert reached == sorted(reached)
