@@ -57,7 +57,7 @@ def golden_text() -> str:
         ("dubins", _object(dubins, "  ")),
         ("svg", _object(svg, "  ")),
         ("tracks", _object(tracks, "  ")),
-        ("paths", json.dumps(golden.sha256(golden.path_documents()))),
+        ("paths", _object([(k, json.dumps(v)) for k, v in golden.path_digests().items()], "  ")),
     ]
     return _object(sections, " ") + "\n"
 

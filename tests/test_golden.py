@@ -11,9 +11,11 @@ digest of the ``render_svg`` document of every shipped scenario, of the
 showcase Lissajous solve of ``scripts/plot_interception.py`` and of a capture
 at t = 0 on both plants, and one digest over seeded line solves on both
 plants, so a change to how plants are drawn or how the document is written
-must keep every SVG byte-identical, and
-one SHA-256 digest over seeded solve documents and ``plant.path`` answers,
-so a change to how plants build paths must keep every path bit-identical.
+must keep every SVG byte-identical. Three SHA-256 digests cover seeded solve
+documents and ``plant.path`` answers at points outside and inside the
+reachable set, so a change to how plants build paths must keep every path
+bit-identical, and one that moves only paths to reachable points shows as
+exactly that.
 Last, for three seeded recorded-track documents (200, 1,000 and 5,000
 samples written as a mix of integer and float literals), it holds the SHA-256
 of the re-emitted scenario and of the solve's result document, so a change
@@ -193,28 +195,38 @@ def test_line_solve_svgs_are_byte_identical():
     assert sha256(line_svg_documents()) == GOLDEN["svg"]["line_solves"]
 
 
-def path_documents():
-    """Texts that spell out every path value of both plants bit for bit.
+def path_documents() -> dict[str, list[str]]:
+    """Texts that spell out every path value of both plants bit for bit, by kind.
 
-    ``emit_result`` of 32 seeded ``line_solves`` per capture cell, then ``repr(plant.path(...))``
-    at seeded points on both sides of the y-axis and on it (x = 0.0 and
-    x = -0.0), each queried with its own distance plus 1e-9 as the reach.
+    ``solves``: ``emit_result`` of 32 seeded ``line_solves`` per capture cell.
+    ``outside`` and ``inside``: ``repr(plant.path(...))`` at seeded points on
+    both sides of the y-axis and on it (x = 0.0 and x = -0.0), each queried
+    with its own distance plus 1e-9 as the reach; ``outside`` holds the points
+    at a positive distance, ``inside`` those at distance 0.0.
     """
+    documents: dict[str, list[str]] = {"solves": [], "outside": [], "inside": []}
     rng = random.Random(7)
     for plant_name in ("simple", "dubins"):
         plant = get_plant(plant_name)
         for _, result in line_solves(rng, plant, 32):
-            yield emit_result(result)
+            documents["solves"].append(emit_result(result))
         for i in range(3000):
             x = (0.0, -0.0)[i % 2] if i % 10 < 2 else rng.uniform(-4.0, 4.0)
             point = PlanarPoint(x, rng.uniform(-4.0, 4.0))
             t = rng.uniform(0.0, 8.0)
             rho = plant.distance(t, point)
-            yield repr(plant.path(t, point, 0.1, rho + 1e-9))
+            kind = "outside" if rho > 0.0 else "inside"
+            documents[kind].append(repr(plant.path(t, point, 0.1, rho + 1e-9)))
+    return documents
+
+
+def path_digests() -> dict[str, str]:
+    """One SHA-256 digest per kind of ``path_documents``."""
+    return {kind: sha256(texts) for kind, texts in path_documents().items()}
 
 
 def test_paths_are_bit_identical():
-    assert sha256(path_documents()) == GOLDEN["paths"]
+    assert path_digests() == GOLDEN["paths"]
 
 
 TRACKS = {
