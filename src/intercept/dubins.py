@@ -51,7 +51,7 @@ _D_I, _D_II, _D_III = DubinsRegion
 
 
 # --- the case analysis on ax = |x| and yy = y, each float expression once ----
-# ``distance`` and ``DubinsCar.path`` run these helpers on floats.
+# ``_nearest``, behind ``distance`` and ``DubinsCar.path``, runs these on floats.
 
 
 def _case(ax: float, yy: float) -> tuple[DubinsRegion, float, float]:
@@ -196,8 +196,8 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
 
 def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
     """Real roots of the stationarity cubic for the CC distance at (t, y)."""
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     third = t / 3.0
     sin3, cos3 = math.sin(third), math.cos(third)
     ax = abs(y.x)
@@ -238,34 +238,34 @@ def _cc_nearest(t: float, ax: float, yy: float, roots: list[float]) -> tuple[flo
     return best_tau, best_dist
 
 
-def distance(t: float, y: PlanarPoint) -> float:
-    """Euclidean distance from y to the positions the car can reach at time t.
+def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
+    """(distance, first arc, is CS) of the reachable point nearest y at time t.
 
-    One pass over (|x|, y): the region, then (off D_I) the CS angle and length
-    decide containment and whether the nearest boundary point lies on the
-    CS family; otherwise it lies on the CC family. The car can occupy y at
-    time t exactly when this returns 0.0.
+    One pass over (|x|, y): off D_I, the CS angle and length may pick the CS family;
+    else one CC search finds the first arc. Inside points get 0.0 and the same rule's family.
     """
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     ax, yy = abs(y.x), y.y
     region, a_cs, a_cc = _case(ax, yy)
     if region is _D_I:
         # reachable once the CC minus path fits, and the origin at t = 0
-        if t >= _cc_lengths(ax, yy, a_cc)[1] or (t == 0.0 and ax == 0.0 and yy == 0.0):
-            return 0.0
-        return _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))[1]
-    theta, length = _cs(ax, yy, a_cs)
-    if t >= length:
-        if region is _D_II:
-            return 0.0
-        # D_III: reachable unless t falls inside the CC window (plus, minus)
-        plus, minus = _cc_lengths(ax, yy, a_cc)
-        if t >= minus or plus >= t:
-            return 0.0
-    if theta <= t and (region is _D_II or length >= t):
-        return length - t
-    return _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))[1]
+        inside = t >= _cc_lengths(ax, yy, a_cc)[1] or (t == 0.0 and ax == 0.0 and yy == 0.0)
+    else:
+        theta, length = _cs(ax, yy, a_cs)
+        if theta <= t and (region is _D_II or length >= t):  # on D_II, t >= length is inside
+            return (length - t if length > t else 0.0), theta, True
+        inside = False
+        if t >= length:  # D_III: reachable unless t falls inside the CC window (plus, minus)
+            plus, minus = _cc_lengths(ax, yy, a_cc)
+            inside = t >= minus or plus >= t
+    tau, dist = _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))
+    return (0.0 if inside else dist), tau, False
+
+
+def distance(t: float, y: PlanarPoint) -> float:
+    """Euclidean distance from y to the positions reachable at time t; 0.0 exactly on them."""
+    return _nearest(t, y)[0]
 
 
 def boundary_points(t: float, n: int) -> list[PlanarPoint]:
@@ -303,6 +303,8 @@ class DubinsCar(PlantModel):
         Exact where the CS family is nearest (rho is then the remaining CS
         path length); elsewhere the generic distance-closing step.
         """
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be finite and >= 0, got {t}")
         if rho <= ell:
             raise ValueError("point already within capture distance")
         return t + (rho - ell) / (1.0 + v)
@@ -316,30 +318,25 @@ class DubinsCar(PlantModel):
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
     ) -> InterceptionPath:
-        """Reconstruct the duration-t_star path ending nearest to the target point.
+        """Reconstruct the duration-t_star path of the family nearest the target point.
 
-        The target must be within ``reach`` of the time-t_star reachable set;
-        ``ell`` is accepted for the plant interface and does not shorten the path.
+        The target must be within ``reach`` of the time-t_star reachable set; ``ell`` does
+        not shorten the path. Outside the set (every point ``solve`` passes) the path ends at
+        the reachable point nearest the target; inside, on the family ``distance`` picks, as
+        no CS or CC path of duration t_star ends at an interior point.
         """
-        if distance(t_star, y_target) > reach:
+        dist, first, is_cs = _nearest(t_star, y_target)
+        if dist > reach:
             raise ValueError("target point is not capturable at the requested time")
         # solved in the right half-plane; left of the axis, turns and endpoint mirror
         left = y_target.x < 0.0
         turn, other = (LEFT, RIGHT) if left else (RIGHT, LEFT)
-        ax, yy = abs(y_target.x), y_target.y
-        best = None  # (distance, segments, endpoint in the right half-plane)
-        a_cs = _case(ax, yy)[1]
-        if a_cs >= 0.0:
-            th = _cs(ax, yy, a_cs)[0]
-            if th <= t_star:
-                endpoint = _cs_point(th, t_star)
-                dist = endpoint.distance_to(PlanarPoint(ax, yy))
-                best = (dist, (arc(turn, th), straight(t_star - th)), endpoint)
-        tau, cc_dist = _cc_nearest(t_star, ax, yy, cc_cubic_roots(t_star, y_target))
-        if best is None or cc_dist < best[0]:
-            cc_endpoint = PlanarPoint(x_lr(tau, t_star), y_lr(tau, t_star))
-            best = (cc_dist, (arc(other, tau), arc(turn, t_star - tau)), cc_endpoint)
-        _, segments, endpoint = best
+        if is_cs:
+            segments = (arc(turn, first), straight(t_star - first))
+            endpoint = _cs_point(first, t_star)
+        else:
+            segments = (arc(other, first), arc(turn, t_star - first))
+            endpoint = PlanarPoint(x_lr(first, t_star), y_lr(first, t_star))
         if left:
             endpoint = PlanarPoint(-endpoint.x, endpoint.y)
         return InterceptionPath(segments, endpoint)

@@ -106,9 +106,9 @@ class PlantModel(abc.ABC):
     ) -> InterceptionPath:
         """Duration-t_star path that ends at a reachable point near y_target.
 
-        The end is at most ``max(ell, distance(t_star, y_target))`` from
-        y_target. Raises ValueError unless y_target is within ``reach`` of the
-        time-t_star reachable set; ``solve`` passes its stopping distance.
+        Outside the time-t_star reachable set (every point ``solve`` passes), the end is at
+        most ``max(ell, distance(t_star, y_target))`` from y_target. Raises ValueError unless
+        y_target is within ``reach`` of the set; ``solve`` passes its stopping distance.
         """
         raise NotImplementedError(f"{self.name} has no path reconstruction")
 
@@ -122,9 +122,12 @@ class PlantModel(abc.ABC):
 
 def simple_distance(t: float, y: PlanarPoint) -> float:
     """Distance from y to the disk of radius t centered at the origin."""
-    if not t >= 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    return max(y.norm() - t, 0.0)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    r = y.norm()
+    if not r < math.inf:  # a NaN or an infinity in y
+        raise ValueError(f"point must be finite, got {y}")
+    return max(r - t, 0.0)
 
 
 class SimpleMotions(PlantModel):
@@ -137,8 +140,8 @@ class SimpleMotions(PlantModel):
 
     def best_step(self, t: float, y: PlanarPoint, rho: float, v: float, ell: float) -> float:
         """Largest safe step toward the capture time; exact for this plant."""
-        if not t >= 0:
-            raise ValueError(f"time must be >= 0, got {t}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be finite and >= 0, got {t}")
         # (|y| + v*t - ell)/(1 + v) reads |y| directly; the same step written
         # through rho would round differently
         r = y.norm()

@@ -20,7 +20,7 @@ from intercept.dubins import (
     x_lr,
     y_lr,
 )
-from intercept.plants import SIMPLE_MOTIONS
+from intercept.plants import SIMPLE_MOTIONS, simple_distance
 from oracles import DubinsBoundaryOracle, reference_dubins_contains, reference_dubins_distance
 
 times = st.floats(min_value=0, max_value=12, allow_nan=False)
@@ -243,20 +243,26 @@ def test_non_finite_point_is_a_value_error(x, y):
         distance(1.0, PlanarPoint(x, y))
     with pytest.raises(ValueError, match="no finite CC distance"):
         DUBINS_CAR.path(1.0, PlanarPoint(x, y), 0.1, 1.0)
+    with pytest.raises(ValueError, match="point must be finite"):
+        simple_distance(1.0, PlanarPoint(x, y))
+    with pytest.raises(ValueError, match="point must be finite"):
+        SIMPLE_MOTIONS.path(1.0, PlanarPoint(x, y), 0.1, 1.0)
 
 
 def test_nan_time_is_a_value_error_on_both_plants():
+    # an infinite time fails the same way as NaN
     p = PlanarPoint(0.5, 0.1)
-    nan_time = "time must be >= 0, got nan"
-    for plant in (SIMPLE_MOTIONS, DUBINS_CAR):
-        with pytest.raises(ValueError, match=nan_time):
-            plant.distance(math.nan, p)
-        with pytest.raises(ValueError, match=nan_time):
-            plant.path(math.nan, p, 0.1, 1.0)
-    with pytest.raises(ValueError, match=nan_time):
-        SIMPLE_MOTIONS.best_step(math.nan, PlanarPoint(3.0, 4.0), 1.0, 0.5, 0.1)
-    with pytest.raises(ValueError, match=nan_time):
-        cc_cubic_roots(math.nan, p)
+    for t in (math.nan, math.inf):
+        bad_time = f"time must be finite and >= 0, got {t}"
+        for plant in (SIMPLE_MOTIONS, DUBINS_CAR):
+            with pytest.raises(ValueError, match=bad_time):
+                plant.distance(t, p)
+            with pytest.raises(ValueError, match=bad_time):
+                plant.path(t, p, 0.1, 1.0)
+            with pytest.raises(ValueError, match=bad_time):
+                plant.best_step(t, PlanarPoint(3.0, 4.0), 1.0, 0.5, 0.1)
+        with pytest.raises(ValueError, match=bad_time):
+            cc_cubic_roots(t, p)
 
 
 def _outcome(fn, t, p):
@@ -478,6 +484,16 @@ class TestPath:
     def test_precondition(self):
         with pytest.raises(ValueError):
             DUBINS_CAR.path(0.5, PlanarPoint(0, 5), 0.1, 0.1)
+
+    @given(times, points)
+    @settings(max_examples=300, deadline=None)
+    def test_exterior_path_ends_at_the_distance(self, t, p):
+        # outside the set, the path reads the same nearest point as distance
+        rho = distance(t, p)
+        assume(rho > 0.0)
+        path = DUBINS_CAR.path(t, p, 0.1, rho + 1e-9)
+        assert sum(s.duration for s in path.segments) == pytest.approx(t, abs=1e-12)
+        assert abs(path.endpoint.distance_to(p) - rho) <= 1e-9
 
 
 class TestGeometryRecord:

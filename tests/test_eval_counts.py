@@ -1,10 +1,12 @@
 """Distance evaluations per solve on the shipped scenarios.
 
-One solve should cost one distance evaluation per iterate, plus the one
-that guards path reconstruction, and one Dubins distance should run its
-case analysis once, on floats, with one cubic solve per CC query. The
-counts are deterministic, so these tests stop a refactor from silently
-re-evaluating the distance or its case analysis.
+One solve should cost one distance evaluation per iterate. The simple
+plant's path reconstruction adds one more as its guard; the Dubins path
+reads its guard, family and first arc from the routine behind ``distance``
+and adds none. One Dubins distance should run its case analysis once, on
+floats, with one cubic solve per CC query. The counts are deterministic,
+so these tests stop a refactor from silently re-evaluating the distance or
+its case analysis.
 Every trajectory kind is evaluated once per iterate through
 ``TargetTrajectory.position``.
 """
@@ -37,20 +39,22 @@ from intercept.benchmarks import run_table
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 @pytest.fixture
 def distance_calls(monkeypatch):
     """Count calls of both plants' distance functions by plant name."""
     calls = {"simple": 0, "dubins": 0}
-
-    def counting(name, fn):
-        def wrapper(t, y):
-            calls[name] += 1
-            return fn(t, y)
-
-        return wrapper
-
-    monkeypatch.setattr(dubins, "distance", counting("dubins", dubins.distance))
-    monkeypatch.setattr(plants, "simple_distance", counting("simple", plants.simple_distance))
+    monkeypatch.setattr(dubins, "distance", _counting(calls, "dubins", dubins.distance))
+    monkeypatch.setattr(
+        plants, "simple_distance", _counting(calls, "simple", plants.simple_distance)
+    )
     return calls
 
 
@@ -60,18 +64,31 @@ def _solve(name):
     return scenario.plant, solve(plant, scenario.trajectory, scenario.capture, scenario.estimator)
 
 
-def test_lissajous_dubins_evaluates_once_per_iterate(distance_calls):
+def test_lissajous_dubins_evaluates_once_per_iterate(distance_calls, monkeypatch):
+    cubic = {"cc_cubic_roots": 0}
+    monkeypatch.setattr(
+        dubins, "cc_cubic_roots", _counting(cubic, "cc_cubic_roots", dubins.cc_cubic_roots)
+    )
     _, result = _solve("lissajous_dubins.json")
     assert result.trace.iteration_count == 9
     assert result.path is not None
-    # 10 iterates and the path guard
-    assert distance_calls == {"simple": 0, "dubins": 11}
+    # 10 iterates; the path makes no distance call of its own
+    assert distance_calls == {"simple": 0, "dubins": 10}
+    # 3 of the 10 iterates are CC queries, and the path solves no cubic of its own
+    assert cubic == {"cc_cubic_roots": 3}
+
+
+# the path guard: one more simple distance, none on the Dubins plant
+PATH_GUARD_CALLS = {"simple": 1, "dubins": 0}
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
 def test_shipped_scenarios_evaluate_at_most_iterations_plus_two(distance_calls, name):
     plant_name, result = _solve(name)
-    assert distance_calls[plant_name] <= result.trace.iteration_count + 2
+    assert result.path is not None
+    # one evaluation per iterate (iteration_count + 1 of them) and the path guard
+    expected = result.trace.iteration_count + 1 + PATH_GUARD_CALLS[plant_name]
+    assert distance_calls[plant_name] == expected
     assert sum(distance_calls.values()) == distance_calls[plant_name]
 
 
@@ -80,16 +97,8 @@ def test_table_dubins_layer_counts(distance_calls, monkeypatch):
     # wrappers classify and theta_cs are never called, and the CC branch
     # still calls cc_cubic_roots by name, once per CC query
     calls = {"cc_cubic_roots": 0, "classify": 0, "theta_cs": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
     for name in calls:
-        monkeypatch.setattr(dubins, name, counting(name, getattr(dubins, name)))
+        monkeypatch.setattr(dubins, name, _counting(calls, name, getattr(dubins, name)))
     run_table()
     assert distance_calls["dubins"] == 1362
     assert calls == {"cc_cubic_roots": 428, "classify": 0, "theta_cs": 0}
