@@ -34,6 +34,7 @@ HALF_PI = 0.5 * math.pi
 
 # tolerance for arccos arguments that round just outside [-1, 1]
 _ACOS_SLACK = 1e-12
+_CS_ACOS_LIMIT = math.cos(1e-4)  # smaller CS angles come from atan2
 # leading coefficients smaller than this degrade the cubic's degree
 _COEF_ZERO = 1e-12
 # polished roots with an imaginary part below this count as real
@@ -84,7 +85,11 @@ def _cs(ax: float, yy: float, a_cs: float) -> tuple[float, float]:
     if a_cs < 0.0:
         raise ValueError("CS geometry undefined inside the open turning disks")
     root = math.sqrt(a_cs)
-    theta = _acos((1.0 - ax + yy * root) / (1.0 + a_cs))
+    cos_theta = (1.0 - ax + yy * root) / (1.0 + a_cs)
+    if cos_theta < _CS_ACOS_LIMIT:
+        theta = _acos(cos_theta)
+    else:  # below 1e-4 rad acos loses more than 1e-12 (half the digits): use the sine
+        theta = abs(math.atan2((yy + root * (ax - 1.0)) / (1.0 + a_cs), cos_theta))
     # Branch test y >= (1 - |x|) * sqrt(a): squaring shows it is equivalent
     # to y >= 0 or |x| >= 2, which evaluates without the sqrt cancellation
     # that flips the comparison next to the locus (e.g. on the +y axis).

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from intercept import dubins
 from intercept.core import PlanarPoint
@@ -60,6 +60,15 @@ class TestThetaCS:
     def test_undefined_inside_disks(self):
         with pytest.raises(ValueError):
             theta_cs(PlanarPoint(0.5, 0.1))
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(1.192092896e-07, 1.5), (1.192092896e-07, 0.5625), (6.103515625e-05, 8.0), (5.960464477539063e-08, 2.0)],
+    )
+    def test_small_angle_path_ends_at_the_point(self, x, y):
+        # acos near 1 keeps half the digits of a tiny angle, and the CS path then misses y
+        theta, length = _cs(x, y, _case(x, y)[1])
+        assert dubins._cs_point(theta, length).distance_to(PlanarPoint(x, y)) <= 1e-12
 
 
 class TestVCS:
@@ -486,6 +495,7 @@ class TestPath:
             DUBINS_CAR.path(0.5, PlanarPoint(0, 5), 0.1, 0.1)
 
     @given(times, points)
+    @example(1.0, PlanarPoint(5.960464477539063e-08, 2.0))  # a CS angle of 3e-8 rad
     @settings(max_examples=300, deadline=None)
     def test_exterior_path_ends_at_the_distance(self, t, p):
         # outside the set, the path reads the same nearest point as distance
