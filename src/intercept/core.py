@@ -10,21 +10,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, ClassVar, Iterable
+from typing import Any, Callable, ClassVar, Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class PlanarPoint:
-    """A point of the plane with the Euclidean norm."""
+class PlanarPoint(NamedTuple):
+    """A point of the plane with the Euclidean norm; an immutable (x, y) tuple."""
 
     x: float
     y: float
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-    def distance_to(self, other: "PlanarPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
     def scaled(self, factor: float) -> "PlanarPoint":
         return PlanarPoint(self.x * factor, self.y * factor)
@@ -87,19 +83,21 @@ class LineTrajectory(TargetTrajectory):
     eta: float
     phi: float
     v: float
+    # cos(phi) and sin(phi), computed once; not scenario fields
+    _cos: float = field(init=False, repr=False, compare=False)
+    _sin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_speed(self)
+        object.__setattr__(self, "_cos", math.cos(self.phi))
+        object.__setattr__(self, "_sin", math.sin(self.phi))
 
     @property
     def speed_bound(self) -> float:
         return self.v
 
     def _at(self, t: float) -> PlanarPoint:
-        return PlanarPoint(
-            self.xi + self.v * t * math.cos(self.phi),
-            self.eta + self.v * t * math.sin(self.phi),
-        )
+        return PlanarPoint(self.xi + self.v * t * self._cos, self.eta + self.v * t * self._sin)
 
 
 @dataclass(frozen=True)
@@ -118,6 +116,9 @@ class LissajousTrajectory(TargetTrajectory):
     omega_y: float
     v: float
     speed_bound: float | None = None
+    # the amplitudes v/omega_x and v/omega_y, computed once; not scenario fields
+    _ax: float = field(init=False, repr=False, compare=False)
+    _ay: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.omega_x <= 0 or self.omega_y <= 0:
@@ -125,6 +126,8 @@ class LissajousTrajectory(TargetTrajectory):
         _check_speed(self)
         if self.speed_bound is None:
             object.__setattr__(self, "speed_bound", self.v)
+        object.__setattr__(self, "_ax", self.v / self.omega_x)
+        object.__setattr__(self, "_ay", self.v / self.omega_y)
 
     def scenario_fields(self) -> dict[str, Any]:
         doc = super().scenario_fields()
@@ -134,8 +137,8 @@ class LissajousTrajectory(TargetTrajectory):
 
     def _at(self, t: float) -> PlanarPoint:
         return PlanarPoint(
-            self.xi + self.v / self.omega_x * math.sin(self.omega_x * t),
-            self.eta + self.v / self.omega_y * math.sin(self.omega_y * t),
+            self.xi + self._ax * math.sin(self.omega_x * t),
+            self.eta + self._ay * math.sin(self.omega_y * t),
         )
 
 

@@ -69,15 +69,11 @@ def _case(ax: float, yy: float) -> tuple[DubinsRegion, float, float]:
 
 
 def _acos(u: float) -> float:
-    if u > 1.0:
-        if u - 1.0 > _ACOS_SLACK:
-            raise ValueError(f"arccos argument {u} out of range")
-        return 0.0
-    if u < -1.0:
-        if -1.0 - u > _ACOS_SLACK:
-            raise ValueError(f"arccos argument {u} out of range")
-        return math.pi
-    return math.acos(u)
+    if -1.0 <= u <= 1.0 or u != u:  # in range, or NaN for math.acos to pass on
+        return math.acos(u)
+    if abs(u) - 1.0 > _ACOS_SLACK:
+        raise ValueError(f"arccos argument {u} out of range")
+    return 0.0 if u > 1.0 else math.pi
 
 
 def _cs(ax: float, yy: float, a_cs: float) -> tuple[float, float]:
@@ -147,18 +143,6 @@ def y_lr(tau: float, t: float) -> float:
 # --- cubic solver for the CC stationarity condition --------------------------
 
 
-def _polish(x: float, a: float, b: float, c: float, d: float) -> float:
-    # one Newton step, kept only if it does not increase the residual
-    f = ((a * x + b) * x + c) * x + d
-    df = (3.0 * a * x + 2.0 * b) * x + c
-    if df != 0.0 and math.isfinite(f / df):
-        x2 = x - f / df
-        f2 = ((a * x2 + b) * x2 + c) * x2 + d
-        if math.isfinite(x2) and abs(f2) <= abs(f):
-            return x2
-    return x
-
-
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     """Real roots of a*x^3 + b*x^2 + c*x + d, a quadratic when a is negligible."""
     if abs(a) <= _COEF_ZERO:
@@ -167,36 +151,45 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         roots = [q / b]
         if q != 0.0:
             roots.append(d / q)
-        return [_polish(r, 0.0, b, c, d) for r in roots]
-
-    bn, cn, dn = b / a, c / a, d / a
-    # depressed form z^3 + p z + q with x = z - bn/3
-    p = cn - bn * bn / 3.0
-    q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
-    shift = -bn / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    roots: list[float] = []
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-        v = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-        roots.append(u + v + shift)
-        # the conjugate pair counts as real when it is nearly so
-        imag = math.sqrt(3.0) / 2.0 * abs(u - v)
-        if imag <= _IMAG_TOL:
-            roots.append(-(u + v) / 2.0 + shift)
-    elif disc == 0.0:
-        if p == 0.0:
-            roots.append(shift)
-        else:
-            roots.append(3.0 * q / p + shift)
-            roots.append(-1.5 * q / p + shift)
+        a = 0.0  # polished as the quadratic it is
     else:
-        r = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
-        for k in range(3):
-            roots.append(r * math.cos((phi - TWO_PI * k) / 3.0) + shift)
-    return [_polish(x, a, b, c, d) for x in roots]
+        bn, cn, dn = b / a, c / a, d / a
+        # depressed form z^3 + p z + q with x = z - bn/3
+        p = cn - bn * bn / 3.0
+        q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
+        shift = -bn / 3.0
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        roots = []
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
+            v = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
+            roots.append(u + v + shift)
+            # the conjugate pair counts as real when it is nearly so
+            imag = math.sqrt(3.0) / 2.0 * abs(u - v)
+            if imag <= _IMAG_TOL:
+                roots.append(-(u + v) / 2.0 + shift)
+        elif disc == 0.0:
+            if p == 0.0:
+                roots.append(shift)
+            else:
+                roots.append(3.0 * q / p + shift)
+                roots.append(-1.5 * q / p + shift)
+        else:
+            r = 2.0 * math.sqrt(-p / 3.0)
+            phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
+            for k in range(3):
+                roots.append(r * math.cos((phi - TWO_PI * k) / 3.0) + shift)
+    # one Newton step per root, kept only if it does not increase the residual
+    for i, x in enumerate(roots):
+        f = ((a * x + b) * x + c) * x + d
+        df = (3.0 * a * x + 2.0 * b) * x + c
+        if df != 0.0 and math.isfinite(f / df):
+            x2 = x - f / df
+            f2 = ((a * x2 + b) * x2 + c) * x2 + d
+            if math.isfinite(x2) and abs(f2) <= abs(f):
+                roots[i] = x2
+    return roots
 
 
 def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
@@ -215,34 +208,6 @@ def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
     return _real_cubic_roots(a, b, c, d)
 
 
-def _cc_nearest(t: float, ax: float, yy: float, roots: list[float]) -> tuple[float, float]:
-    """First-arc duration tau and distance of the CC-family point nearest (ax, yy).
-
-    The candidates are tau = 0, min(t, pi/2) and the arc splits of ``roots``,
-    the stationarity cubic's roots ``cc_cubic_roots(t, y)``.
-    """
-    hi = min(t, HALF_PI)
-    third = t / 3.0
-    cands = [0.0, hi]
-    for xi in roots:
-        cands.append((third - 2.0 * math.atan(xi)) % TWO_PI)
-    if abs(yy + math.sin(third)) <= _COEF_ZERO:
-        # degenerate leading coefficient: the root at infinity maps here
-        cands.append((third - math.pi) % TWO_PI)
-    best_tau, best_dist = None, math.inf
-    for tau in cands:
-        if 0.0 <= tau <= hi:
-            # x_lr and y_lr inline: this loop runs for every CC query
-            px = 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
-            py = 2.0 * math.sin(tau) + math.sin(t - 2.0 * tau)
-            dist = math.hypot(ax - px, yy - py)
-            if dist < best_dist:
-                best_tau, best_dist = tau, dist
-    if best_tau is None:  # a NaN or an infinity in the query
-        raise ValueError(f"no finite CC distance to (|x|, y) = ({ax}, {yy}) at t = {t}")
-    return best_tau, best_dist
-
-
 def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
     """(distance, first arc, is CS) of the reachable point nearest y at time t.
 
@@ -254,8 +219,12 @@ def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
     ax, yy = abs(y.x), y.y
     region, a_cs, a_cc = _case(ax, yy)
     if region is _D_I:
-        # reachable once the CC minus path fits, and the origin at t = 0
-        inside = t >= _cc_lengths(ax, yy, a_cc)[1] or (t == 0.0 and ax == 0.0 and yy == 0.0)
+        # reachable once the CC minus path fits, and the origin at t = 0. That length,
+        # (theta_minus + 2 pi) - acos(a_cc) with theta_minus >= 0 and acos <= pi, rounds to
+        # at least 2 pi - pi == pi (exact in floats), so no earlier time needs it
+        inside = (t >= math.pi and t >= _cc_lengths(ax, yy, a_cc)[1]) or (
+            t == 0.0 and ax == 0.0 and yy == 0.0
+        )
     else:
         theta, length = _cs(ax, yy, a_cs)
         if theta <= t and (region is _D_II or length >= t):  # on D_II, t >= length is inside
@@ -264,8 +233,31 @@ def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
         if t >= length:  # D_III: reachable unless t falls inside the CC window (plus, minus)
             plus, minus = _cc_lengths(ax, yy, a_cc)
             inside = t >= minus or plus >= t
-    tau, dist = _cc_nearest(t, ax, yy, cc_cubic_roots(t, y))
-    return (0.0 if inside else dist), tau, False
+    # the CC family: the nearest of tau = 0, hi = min(t, pi/2) and, in that order, each
+    # root's arc split in [0, hi]; x_lr and y_lr inline, twice to build no candidate list
+    hi = min(t, HALF_PI)
+    best_tau, best_dist = None, math.inf
+    for tau in (0.0, hi):
+        px = 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
+        py = 2.0 * math.sin(tau) + math.sin(t - 2.0 * tau)
+        dist = math.hypot(ax - px, yy - py)
+        if dist < best_dist:
+            best_tau, best_dist = tau, dist
+    third = t / 3.0
+    roots = cc_cubic_roots(t, y)
+    if abs(yy + math.sin(third)) <= _COEF_ZERO:
+        roots.append(math.inf)  # degenerate leading coefficient: the root at infinity
+    for xi in roots:
+        tau = (third - 2.0 * math.atan(xi)) % TWO_PI  # in [0, 2 pi], or NaN
+        if tau <= hi:
+            px = 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
+            py = 2.0 * math.sin(tau) + math.sin(t - 2.0 * tau)
+            dist = math.hypot(ax - px, yy - py)
+            if dist < best_dist:
+                best_tau, best_dist = tau, dist
+    if best_tau is None:  # a NaN or an infinity in the query
+        raise ValueError(f"no finite CC distance to (|x|, y) = ({ax}, {yy}) at t = {t}")
+    return (0.0 if inside else best_dist), best_tau, False
 
 
 def distance(t: float, y: PlanarPoint) -> float:
@@ -312,6 +304,8 @@ class DubinsCar(PlantModel):
             raise ValueError(f"time must be finite and >= 0, got {t}")
         if rho <= ell:
             raise ValueError("point already within capture distance")
+        if not rho < math.inf:
+            raise ValueError(f"distance must be finite, got {rho}")
         return t + (rho - ell) / (1.0 + v)
 
     def reachable_boundary(self, t: float) -> list[PlanarPoint]:

@@ -145,6 +145,8 @@ class SimpleMotions(PlantModel):
         # (|y| + v*t - ell)/(1 + v) reads |y| directly; the same step written
         # through rho would round differently
         r = y.norm()
+        if not r < math.inf:  # a NaN or an infinity in y
+            raise ValueError(f"point must be finite, got {y}")
         if r > t + ell:
             return (r + v * t - ell) / (1.0 + v)
         return t

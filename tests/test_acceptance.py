@@ -163,8 +163,8 @@ def test_criterion_4_lipschitz_in_time_and_space():
         p1 = PlanarPoint(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)))
         p2 = PlanarPoint(float(rng.uniform(-8, 8)), float(rng.uniform(-8, 8)))
         gap = abs(DUBINS_CAR.distance(tt, p1) - DUBINS_CAR.distance(tt, p2))
-        worst_y = max(worst_y, gap - p1.distance_to(p2))
-        assert gap <= p1.distance_to(p2) + 1e-12
+        worst_y = max(worst_y, gap - math.dist(p1, p2))
+        assert gap <= math.dist(p1, p2) + 1e-12
     print(
         f"ACCEPTANCE 4 PASS: both 1-Lipschitz bounds hold on {n} pairs per plant "
         f"(dubins worst slack use: time {worst_t:.2e}, space {worst_y:.2e})"

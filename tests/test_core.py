@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -28,6 +29,19 @@ def test_norm_zero_iff_origin(x, y):
     p = PlanarPoint(x, y)
     assert p.norm() >= 0.0
     assert (p.norm() == 0.0) == (x == 0.0 and y == 0.0)
+
+
+def test_planar_point_repr_hash_equality_and_immutability():
+    p = PlanarPoint(1.0, 2.0)
+    assert repr(p) == "PlanarPoint(x=1.0, y=2.0)"
+    assert p == PlanarPoint(1.0, 2.0) and p != PlanarPoint(1.0, -2.0)
+    assert hash(p) == hash(PlanarPoint(1.0, 2.0))
+    assert {p, PlanarPoint(1.0, 2.0)} == {p}
+    assert (p.x, p.y) == (1.0, 2.0)
+    for name in ("x", "y"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 3.0)
+    assert p == PlanarPoint(1.0, 2.0)
 
 
 def test_capture_spec_validation():
@@ -245,7 +259,7 @@ def trajectories(draw):
 def test_trajectories_respect_their_speed_bound(traj_and_bound, t1, t2):
     traj, bound = traj_and_bound
     lo, hi = min(t1, t2), max(t1, t2)
-    gap = traj.position(hi).distance_to(traj.position(lo))
+    gap = math.dist(traj.position(hi), traj.position(lo))
     assert gap <= bound * (hi - lo) + 1e-9
 
 
@@ -255,6 +269,43 @@ def test_evaluation_is_deterministic(traj_and_bound, t):
     a = traj.position(t)
     b = traj.position(t)
     assert a.x == b.x and a.y == b.y
+
+
+_REPLACED = [
+    (make_line_trajectory(0.5, -1.0, 0.3, 0.7), {"phi": 2.1, "v": 0.9}),
+    (make_lissajous_trajectory(1.0, 2.0, 0.5, 1.5, 0.6), {"omega_x": 1.7, "v": 0.4}),
+    (
+        make_lissajous_trajectory(1.0, 2.0, 0.5, 1.5, 0.6, speed_bound=2.0),
+        {"omega_y": 0.3, "speed_bound": 1.0},
+    ),
+]
+
+
+@pytest.mark.parametrize("traj, changes", _REPLACED)
+def test_replace_recomputes_what_position_reads(traj, changes):
+    # dataclasses.replace builds through __init__, so any constant position
+    # precomputes from the fields follows the new fields
+    replaced = dataclasses.replace(traj, **changes)
+    declared = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj) if f.init}
+    fresh = type(traj)(**{**declared, **changes})
+    for t in (0.0, 0.37, 1.0, 12.5, 1e3):
+        got, want = replaced.position(t), fresh.position(t)
+        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+    assert replaced == fresh and hash(replaced) == hash(fresh)
+    assert repr(replaced) == repr(fresh)
+    assert replaced != traj
+
+
+@pytest.mark.parametrize("traj, _", _REPLACED)
+def test_only_the_declared_fields_show(traj, _):
+    names = {"line": ["xi", "eta", "phi", "v"]}.get(
+        traj.kind, ["xi", "eta", "omega_x", "omega_y", "v", "speed_bound"]
+    )
+    shown = ", ".join(f"{name}={getattr(traj, name)!r}" for name in names)
+    assert repr(traj) == f"{type(traj).__name__}({shown})"
+    assert set(traj.scenario_fields()) <= set(names)
+    assert set(names) - set(traj.scenario_fields()) <= {"speed_bound"}
+    assert [f.name for f in dataclasses.fields(traj) if f.compare] == names
 
 
 def test_custom_trajectory():

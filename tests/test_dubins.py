@@ -68,7 +68,7 @@ class TestThetaCS:
     def test_small_angle_path_ends_at_the_point(self, x, y):
         # acos near 1 keeps half the digits of a tiny angle, and the CS path then misses y
         theta, length = _cs(x, y, _case(x, y)[1])
-        assert dubins._cs_point(theta, length).distance_to(PlanarPoint(x, y)) <= 1e-12
+        assert math.dist(dubins._cs_point(theta, length), PlanarPoint(x, y)) <= 1e-12
 
 
 class TestVCS:
@@ -105,6 +105,37 @@ class TestVCC:
         assert minus > 0
         assert all(distance(minus * k / 50, p) > 0.0 for k in range(50))
         assert all(distance(minus + k / 10, p) == 0.0 for k in range(50))
+
+    @given(
+        st.one_of(
+            # the closed turning disk |(|x|, y) - (1, 0)| <= 1 and its mirror
+            st.builds(
+                lambda r, a, m: PlanarPoint(m * (1.0 + r * math.cos(a)), r * math.sin(a)),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=2.0 * math.pi),
+                st.sampled_from([1.0, -1.0]),
+            ),
+            # within 1e-12 of the turning circle, inside and out
+            st.builds(
+                lambda a, d: PlanarPoint(1.0 + (1.0 + d) * math.cos(a), (1.0 + d) * math.sin(a)),
+                st.floats(min_value=0.0, max_value=2.0 * math.pi),
+                st.floats(min_value=-1e-12, max_value=1e-12),
+            ),
+        )
+    )
+    @example(PlanarPoint(0.0, 0.0))
+    @example(PlanarPoint(-0.0, 0.0))
+    @example(PlanarPoint(1e-300, 0.0))
+    @example(PlanarPoint(2.0 - 1e-16, 0.0))
+    @example(PlanarPoint(1.0, 1.0 - 1e-16))
+    @example(PlanarPoint(1.0, -(1.0 - 1e-16)))
+    @settings(max_examples=500)
+    def test_d1_minus_is_at_least_pi(self, p):
+        # distance skips the CC lengths of a D_I point while t < pi
+        ax, yy = abs(p.x), p.y
+        region, _, a_cc = _case(ax, yy)
+        assume(region is DubinsRegion.D_I)
+        assert _cc_lengths(ax, yy, a_cc)[1] >= math.pi
 
     def test_minus_matches_first_passage_of_turn_turn_curve(self):
         # the first time a D_I point becomes reachable, a left-right path of
@@ -237,7 +268,7 @@ class TestDistance:
     @settings(max_examples=300, deadline=None)
     def test_lipschitz_in_space(self, t, p1, p2):
         d = abs(distance(t, p1) - distance(t, p2))
-        assert d <= p1.distance_to(p2) + 1e-12
+        assert d <= math.dist(p1, p2) + 1e-12
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -272,6 +303,16 @@ def test_nan_time_is_a_value_error_on_both_plants():
                 plant.best_step(t, PlanarPoint(3.0, 4.0), 1.0, 0.5, 0.1)
         with pytest.raises(ValueError, match=bad_time):
             cc_cubic_roots(t, p)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.1), (math.inf, 0.1), (0.5, -math.inf)])
+def test_best_step_rejects_non_finite_input_on_both_plants(x, y):
+    p = PlanarPoint(x, y)
+    with pytest.raises(ValueError, match="point must be finite"):
+        SIMPLE_MOTIONS.best_step(1.0, p, 2.0, 0.5, 0.1)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="distance must be finite"):
+            DUBINS_CAR.best_step(1.0, PlanarPoint(3.0, 4.0), rho, 0.5, 0.1)
 
 
 def _outcome(fn, t, p):
@@ -394,11 +435,11 @@ class TestBestEstimator:
 class TestBoundary:
     def test_straight_ahead_sample(self):
         pts = boundary_points(2.0, 50)
-        assert any(p.distance_to(PlanarPoint(0, 2)) < 1e-12 for p in pts)
+        assert any(math.dist(p, PlanarPoint(0, 2)) < 1e-12 for p in pts)
 
     def test_half_circle_sample(self):
         pts = boundary_points(math.pi, 50)
-        assert any(p.distance_to(PlanarPoint(2, 0)) < 1e-12 for p in pts)
+        assert any(math.dist(p, PlanarPoint(2, 0)) < 1e-12 for p in pts)
 
     def test_count_and_mirroring(self):
         pts = boundary_points(1.5, 33)
@@ -420,7 +461,7 @@ class TestBoundary:
                 (t - theta_end) * math.sin(theta_end) - math.cos(theta_end) + 1,
                 (t - theta_end) * math.cos(theta_end) + math.sin(theta_end),
             )
-            assert junction.distance_to(cs_end) < 1e-12
+            assert math.dist(junction, cs_end) < 1e-12
 
     def test_outline_is_a_closed_mirrored_loop_of_reachable_points(self):
         for t in (0.3, 1.0, 2.5, math.pi, 7.0):
@@ -448,7 +489,7 @@ class TestPath:
         assert kinds == [("arc", "right"), ("straight", None)]
         assert path.segments[0].duration == 0.0
         assert path.segments[1].duration == pytest.approx(2.0)
-        assert path.endpoint.distance_to(PlanarPoint(0, 2)) < 1e-12
+        assert math.dist(path.endpoint, PlanarPoint(0, 2)) < 1e-12
 
     def test_half_circle(self):
         path = DUBINS_CAR.path(math.pi, PlanarPoint(2, 0), 0.0, 1e-6)
@@ -456,7 +497,7 @@ class TestPath:
         assert path.segments[0].direction == "right"
         assert path.segments[0].duration == pytest.approx(math.pi)
         assert path.segments[1].duration == pytest.approx(0.0, abs=1e-12)
-        assert path.endpoint.distance_to(PlanarPoint(2, 0)) < 1e-12
+        assert math.dist(path.endpoint, PlanarPoint(2, 0)) < 1e-12
 
     def test_turn_turn_case(self):
         # a point between the turning disks is reached by two opposite arcs
@@ -474,21 +515,21 @@ class TestPath:
         kinds = [(s.kind, s.direction) for s in path.segments]
         assert kinds == [("arc", "left"), ("arc", "right")]
         assert sum(s.duration for s in path.segments) == pytest.approx(t_star, abs=1e-9)
-        assert target.distance_to(path.endpoint) == pytest.approx(0.05, abs=1e-6)
+        assert math.dist(target, path.endpoint) == pytest.approx(0.05, abs=1e-6)
         flattened = DUBINS_CAR.sample_path(path)
-        assert flattened[-1].distance_to(path.endpoint) < 1e-9
+        assert math.dist(flattened[-1], path.endpoint) < 1e-9
 
     def test_left_half_plane_is_mirrored(self):
         path = DUBINS_CAR.path(math.pi, PlanarPoint(-2, 0), 0.0, 1e-6)
         assert path.segments[0].direction == "left"
-        assert path.endpoint.distance_to(PlanarPoint(-2, 0)) < 1e-12
+        assert math.dist(path.endpoint, PlanarPoint(-2, 0)) < 1e-12
 
     def test_flattening_matches_endpoint(self):
         for target, t in ((PlanarPoint(1.2, 2.0), 3.0), (PlanarPoint(-0.4, -1.0), 4.0)):
             rho = distance(t, target)
             path = DUBINS_CAR.path(t, target, rho + 1e-9, rho + 1e-9)
             flattened = DUBINS_CAR.sample_path(path)
-            assert flattened[-1].distance_to(path.endpoint) < 1e-9
+            assert math.dist(flattened[-1], path.endpoint) < 1e-9
 
     def test_precondition(self):
         with pytest.raises(ValueError):
@@ -503,7 +544,7 @@ class TestPath:
         assume(rho > 0.0)
         path = DUBINS_CAR.path(t, p, 0.1, rho + 1e-9)
         assert sum(s.duration for s in path.segments) == pytest.approx(t, abs=1e-12)
-        assert abs(path.endpoint.distance_to(p) - rho) <= 1e-9
+        assert abs(math.dist(path.endpoint, p) - rho) <= 1e-9
 
 
 class TestGeometryRecord:

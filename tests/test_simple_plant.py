@@ -78,7 +78,7 @@ class TestLipschitz:
     @given(times, points, points)
     def test_in_space(self, t, y1, y2):
         d = abs(simple_distance(t, y1) - simple_distance(t, y2))
-        assert d <= y1.distance_to(y2) + 1e-12
+        assert d <= math.dist(y1, y2) + 1e-12
 
 
 class TestPath:
@@ -118,7 +118,7 @@ class TestPath:
         path = SIMPLE_MOTIONS.path(0.9, PlanarPoint(0, 1), 0.1, 0.1)
         pts = SIMPLE_MOTIONS.sample_path(path)
         assert pts[0] == PlanarPoint(0.0, 0.0)
-        assert pts[-1].distance_to(path.endpoint) < 1e-12
+        assert math.dist(pts[-1], path.endpoint) < 1e-12
 
 
 def test_registry():

@@ -362,7 +362,7 @@ class TestSolve:
         duration = sum(s.duration for s in result.path.segments)
         assert duration == pytest.approx(result.t_star, abs=1e-12)
         assert plant.distance(result.t_star, result.path.endpoint) <= 1e-9
-        gap = traj.position(result.t_star).distance_to(result.path.endpoint)
+        gap = math.dist(traj.position(result.t_star), result.path.endpoint)
         assert gap <= 1.0 * (1 + 1e-3)
 
     @given(st.sampled_from(["simple", "dubins"]), st.integers(0, 2**32 - 1))
