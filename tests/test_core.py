@@ -283,8 +283,8 @@ _REPLACED = [
 
 @pytest.mark.parametrize("traj, changes", _REPLACED)
 def test_replace_recomputes_what_position_reads(traj, changes):
-    # dataclasses.replace builds through __init__, so any constant position
-    # precomputes from the fields follows the new fields
+    # dataclasses.replace builds through __init__, so the constants that
+    # position reads are computed from the new fields
     replaced = dataclasses.replace(traj, **changes)
     declared = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj) if f.init}
     fresh = type(traj)(**{**declared, **changes})
@@ -298,14 +298,13 @@ def test_replace_recomputes_what_position_reads(traj, changes):
 
 @pytest.mark.parametrize("traj, _", _REPLACED)
 def test_only_the_declared_fields_show(traj, _):
-    names = {"line": ["xi", "eta", "phi", "v"]}.get(
-        traj.kind, ["xi", "eta", "omega_x", "omega_y", "v", "speed_bound"]
-    )
-    shown = ", ".join(f"{name}={getattr(traj, name)!r}" for name in names)
+    declared = [f.name for f in dataclasses.fields(traj) if f.init]
+    shown = ", ".join(f"{name}={getattr(traj, name)!r}" for name in declared)
     assert repr(traj) == f"{type(traj).__name__}({shown})"
-    assert set(traj.scenario_fields()) <= set(names)
-    assert set(names) - set(traj.scenario_fields()) <= {"speed_bound"}
-    assert [f.name for f in dataclasses.fields(traj) if f.compare] == names
+    assert [f.name for f in dataclasses.fields(traj) if f.compare] == declared
+    assert set(declared) - set(traj.scenario_fields()) <= {"speed_bound"}
+    scenario_names = {"xi", "eta", "phi", "omega_x", "omega_y", "v", "speed_bound"}
+    assert set(traj.scenario_fields()) <= scenario_names
 
 
 def test_custom_trajectory():
