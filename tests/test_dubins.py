@@ -108,12 +108,11 @@ class TestVCC:
 
     @given(
         st.one_of(
-            # the closed turning disk |(|x|, y) - (1, 0)| <= 1 and its mirror
+            # the closed turning disk |(|x|, y) - (1, 0)| <= 1
             st.builds(
-                lambda r, a, m: PlanarPoint(m * (1.0 + r * math.cos(a)), r * math.sin(a)),
+                lambda r, a: PlanarPoint(1.0 + r * math.cos(a), r * math.sin(a)),
                 st.floats(min_value=0.0, max_value=1.0),
                 st.floats(min_value=0.0, max_value=2.0 * math.pi),
-                st.sampled_from([1.0, -1.0]),
             ),
             # within 1e-12 of the turning circle, inside and out
             st.builds(
@@ -126,9 +125,9 @@ class TestVCC:
     @example(PlanarPoint(0.0, 0.0))
     @example(PlanarPoint(-0.0, 0.0))
     @example(PlanarPoint(1e-300, 0.0))
-    @example(PlanarPoint(2.0 - 1e-16, 0.0))
-    @example(PlanarPoint(1.0, 1.0 - 1e-16))
-    @example(PlanarPoint(1.0, -(1.0 - 1e-16)))
+    @example(PlanarPoint(math.nextafter(2.0, 0.0), 0.0))
+    @example(PlanarPoint(1.0, math.nextafter(1.0, 0.0)))
+    @example(PlanarPoint(1.0, -math.nextafter(1.0, 0.0)))
     @settings(max_examples=500)
     def test_d1_minus_is_at_least_pi(self, p):
         # distance skips the CC lengths of a D_I point while t < pi
@@ -305,14 +304,13 @@ def test_nan_time_is_a_value_error_on_both_plants():
             cc_cubic_roots(t, p)
 
 
-@pytest.mark.parametrize("x, y", [(math.nan, 0.1), (math.inf, 0.1), (0.5, -math.inf)])
-def test_best_step_rejects_non_finite_input_on_both_plants(x, y):
-    p = PlanarPoint(x, y)
-    with pytest.raises(ValueError, match="point must be finite"):
-        SIMPLE_MOTIONS.best_step(1.0, p, 2.0, 0.5, 0.1)
-    for rho in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="distance must be finite"):
-            DUBINS_CAR.best_step(1.0, PlanarPoint(3.0, 4.0), rho, 0.5, 0.1)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_best_step_rejects_non_finite_input_on_both_plants(bad):
+    for p in (PlanarPoint(bad, 0.1), PlanarPoint(0.5, -bad)):
+        with pytest.raises(ValueError, match="point must be finite"):
+            SIMPLE_MOTIONS.best_step(1.0, p, 2.0, 0.5, 0.1)
+    with pytest.raises(ValueError, match="distance must be finite"):
+        DUBINS_CAR.best_step(1.0, PlanarPoint(3.0, 4.0), bad, 0.5, 0.1)
 
 
 def _outcome(fn, t, p):
