@@ -18,16 +18,7 @@ import enum
 import math
 
 from .core import PlanarPoint
-from .plants import (
-    LEFT,
-    RIGHT,
-    STRAIGHT,
-    WAIT,
-    InterceptionPath,
-    PlantModel,
-    arc,
-    straight,
-)
+from .plants import LEFT, RIGHT, InterceptionPath, PlantModel, arc, sample_segments, straight
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -132,19 +123,19 @@ def _cs_point(theta: float, t: float) -> PlanarPoint:
     )
 
 
-def x_lr(tau: float, t: float) -> float:
-    return 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
-
-
-def y_lr(tau: float, t: float) -> float:
-    return 2.0 * math.sin(tau) + math.sin(t - 2.0 * tau)
+def _cc_point(tau: float, t: float) -> PlanarPoint:
+    return PlanarPoint(
+        2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0,
+        2.0 * math.sin(tau) + math.sin(t - 2.0 * tau),
+    )
 
 
 # --- cubic solver for the CC stationarity condition --------------------------
 
 
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a*x^3 + b*x^2 + c*x + d, a quadratic when a is negligible."""
+    """Real roots of a*x^3 + b*x^2 + c*x + d; for a negligible a, the quadratic's roots
+    and then ``math.inf``, the third root, which a vanishing a sends to infinity."""
     if abs(a) <= _COEF_ZERO:
         disc = c * c - 4.0 * b * d
         q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
@@ -189,11 +180,12 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
             f2 = ((a * x2 + b) * x2 + c) * x2 + d
             if math.isfinite(x2) and abs(f2) <= abs(f):
                 roots[i] = x2
-    return roots
+    return roots + [math.inf] if a == 0.0 else roots  # a == 0.0: the quadratic branch
 
 
 def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
-    """Real roots of the stationarity cubic for the CC distance at (t, y)."""
+    """Real roots of the stationarity cubic for the CC distance at (t, y), ending in
+    ``math.inf`` where its leading coefficient -(y + sin(t/3)) vanishes."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and >= 0, got {t}")
     third = t / 3.0
@@ -234,7 +226,7 @@ def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
             plus, minus = _cc_lengths(ax, yy, a_cc)
             inside = t >= minus or plus >= t
     # the CC family: the nearest of tau = 0, hi = min(t, pi/2) and, in that order, each
-    # root's arc split in [0, hi]; x_lr and y_lr inline, twice to build no candidate list
+    # root's arc split in [0, hi]; _cc_point inline, twice to build no candidate list
     hi = min(t, HALF_PI)
     best_tau, best_dist = None, math.inf
     for tau in (0.0, hi):
@@ -244,10 +236,7 @@ def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
         if dist < best_dist:
             best_tau, best_dist = tau, dist
     third = t / 3.0
-    roots = cc_cubic_roots(t, y)
-    if abs(yy + math.sin(third)) <= _COEF_ZERO:
-        roots.append(math.inf)  # degenerate leading coefficient: the root at infinity
-    for xi in roots:
+    for xi in cc_cubic_roots(t, y):  # the root at infinity gives (t/3 - pi) % 2 pi
         tau = (third - 2.0 * math.atan(xi)) % TWO_PI  # in [0, 2 pi], or NaN
         if tau <= hi:
             px = 2.0 * math.cos(tau) - math.cos(t - 2.0 * tau) - 1.0
@@ -266,24 +255,14 @@ def distance(t: float, y: PlanarPoint) -> float:
 
 
 def boundary_points(t: float, n: int) -> list[PlanarPoint]:
-    """n samples of the CS family, then n of the CC family, each followed by its mirror."""
+    """n samples of the CS family, then n of the CC family; their mirror image is the rest."""
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
     if n < 2:
         raise ValueError(f"need at least 2 samples per branch, got {n}")
-    out: list[PlanarPoint] = []
-    theta_hi = min(t, TWO_PI)
-    tau_hi = min(t, HALF_PI)
-    for i in range(n):
-        p = _cs_point(theta_hi * i / (n - 1), t)
-        out.append(p)
-        out.append(PlanarPoint(-p.x, p.y))
-    for i in range(n):
-        tau = tau_hi * i / (n - 1)
-        p = PlanarPoint(x_lr(tau, t), y_lr(tau, t))
-        out.append(p)
-        out.append(PlanarPoint(-p.x, p.y))
-    return out
+    theta_hi, tau_hi = min(t, TWO_PI), min(t, HALF_PI)
+    cs = [_cs_point(theta_hi * i / (n - 1), t) for i in range(n)]
+    return cs + [_cc_point(tau_hi * i / (n - 1), t) for i in range(n)]
 
 
 class DubinsCar(PlantModel):
@@ -310,9 +289,8 @@ class DubinsCar(PlantModel):
 
     def reachable_boundary(self, t: float) -> list[PlanarPoint]:
         """Closed polyline: CS then CC on the right (128 samples each), then the mirror."""
-        pts = boundary_points(t, 128)
-        right, left = pts[::2], pts[1::2]
-        return right + left[::-1] + [right[0]]
+        right = boundary_points(t, 128)
+        return right + [PlanarPoint(-x, y) for x, y in reversed(right)] + [right[0]]
 
     def path(
         self, t_star: float, y_target: PlanarPoint, ell: float, reach: float
@@ -335,36 +313,14 @@ class DubinsCar(PlantModel):
             endpoint = _cs_point(first, t_star)
         else:
             segments = (arc(other, first), arc(turn, t_star - first))
-            endpoint = PlanarPoint(x_lr(first, t_star), y_lr(first, t_star))
+            endpoint = _cc_point(first, t_star)
         if left:
             endpoint = PlanarPoint(-endpoint.x, endpoint.y)
         return InterceptionPath(segments, endpoint)
 
     def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
         """Integrate the path from the origin, heading +y; arcs every <= 0.05 rad."""
-        x, y = 0.0, 0.0
-        heading = HALF_PI
-        points = [PlanarPoint(x, y)]
-        for seg in path.segments:
-            if seg.kind == WAIT or seg.duration == 0.0:
-                continue
-            if seg.kind == STRAIGHT:
-                x += seg.duration * math.cos(heading)
-                y += seg.duration * math.sin(heading)
-                points.append(PlanarPoint(x, y))
-                continue
-            sign = 1.0 if seg.direction == LEFT else -1.0
-            steps = max(1, math.ceil(seg.duration / 0.05))
-            # unit turning circle, center one unit to the turning side
-            cx = x + math.cos(heading + sign * math.pi / 2)
-            cy = y + math.sin(heading + sign * math.pi / 2)
-            start_angle = heading - sign * math.pi / 2
-            for i in range(1, steps + 1):
-                a = start_angle + sign * seg.duration * i / steps
-                points.append(PlanarPoint(cx + math.cos(a), cy + math.sin(a)))
-            x, y = points[-1].x, points[-1].y
-            heading += sign * seg.duration
-        return points
+        return sample_segments(path.segments, HALF_PI)
 
 
 DUBINS_CAR = DubinsCar()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import ORIGIN, PlanarPoint
 
@@ -37,6 +38,33 @@ class PathSegment:
             raise ValueError(f"segment duration must be >= 0, got {self.duration}")
         if self.kind == ARC and self.direction not in (LEFT, RIGHT):
             raise ValueError(f"arc direction must be left or right, got {self.direction!r}")
+
+
+def sample_segments(segments: Iterable[PathSegment], heading: float) -> list[PlanarPoint]:
+    """Points along segments driven from the origin at ``heading``, for drawing: each
+    straight run's end, and a point every <= 0.05 rad of each arc's unit turning circle."""
+    x, y = 0.0, 0.0
+    points = [PlanarPoint(x, y)]
+    for seg in segments:
+        if seg.kind == WAIT or seg.duration == 0.0:
+            continue
+        if seg.kind == STRAIGHT:
+            x += seg.duration * math.cos(heading)
+            y += seg.duration * math.sin(heading)
+            points.append(PlanarPoint(x, y))
+            continue
+        sign = 1.0 if seg.direction == LEFT else -1.0
+        steps = max(1, math.ceil(seg.duration / 0.05))
+        # unit turning circle, center one unit to the turning side
+        cx = x + math.cos(heading + sign * math.pi / 2)
+        cy = y + math.sin(heading + sign * math.pi / 2)
+        start_angle = heading - sign * math.pi / 2
+        for i in range(1, steps + 1):
+            a = start_angle + sign * seg.duration * i / steps
+            points.append(PlanarPoint(cx + math.cos(a), cy + math.sin(a)))
+        x, y = points[-1]
+        heading += sign * seg.duration
+    return points
 
 
 def arc(direction: str, duration: float) -> PathSegment:
@@ -177,15 +205,7 @@ class SimpleMotions(PlantModel):
     def sample_path(self, path: InterceptionPath) -> list[PlanarPoint]:
         """The origin and the end of the straight run toward ``path.endpoint``."""
         end = path.endpoint
-        heading = 0.0 if end == ORIGIN else math.atan2(end.y, end.x)
-        x, y = 0.0, 0.0
-        points = [PlanarPoint(x, y)]
-        for seg in path.segments:
-            if seg.kind == STRAIGHT and seg.duration != 0.0:
-                x += seg.duration * math.cos(heading)
-                y += seg.duration * math.sin(heading)
-                points.append(PlanarPoint(x, y))
-        return points
+        return sample_segments(path.segments, 0.0 if end == ORIGIN else math.atan2(end.y, end.x))
 
 
 SIMPLE_MOTIONS = SimpleMotions()

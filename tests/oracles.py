@@ -167,11 +167,12 @@ def _reference_cc_distance(t: float, y: PlanarPoint) -> float:
     third = t / 3.0
     taus = [0.0, hi]
     taus += [(third - 2.0 * math.atan(xi)) % dubins.TWO_PI for xi in dubins.cc_cubic_roots(t, y)]
+    # cc_cubic_roots ends in math.inf there too; added here so the reference does not rely on it
     if abs(y.y + math.sin(third)) <= 1e-12:
         taus.append((third - math.pi) % dubins.TWO_PI)
     best = math.inf
     for tau in taus:
         if 0.0 <= tau <= hi:
-            point = PlanarPoint(dubins.x_lr(tau, t), dubins.y_lr(tau, t))
+            point = dubins._cc_point(tau, t)
             best = min(best, math.hypot(mirrored.x - point.x, mirrored.y - point.y))
     return best

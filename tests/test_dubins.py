@@ -11,14 +11,13 @@ from intercept.dubins import (
     DubinsRegion,
     _case,
     _cc_lengths,
+    _cc_point,
     _cs,
     boundary_points,
     cc_cubic_roots,
     classify,
     distance,
     theta_cs,
-    x_lr,
-    y_lr,
 )
 from intercept.plants import SIMPLE_MOTIONS, simple_distance
 from oracles import DubinsBoundaryOracle, reference_dubins_contains, reference_dubins_distance
@@ -192,8 +191,9 @@ class TestCubicRoots:
         t = math.pi
         p = PlanarPoint(0.0, -math.sin(t / 3))
         roots = cc_cubic_roots(t, p)
-        assert len(roots) <= 2
-        for xi in roots:
+        # the quadratic's roots, then the root that the vanishing coefficient sends to infinity
+        assert len(roots) <= 3 and roots[-1] == math.inf
+        for xi in roots[:-1]:
             res = self._residual(t, p, xi)
             assert abs(res) < 1e-9
 
@@ -371,8 +371,10 @@ class TestFloatKernel:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_composed_reference_on_the_boundary(self, t, i, dt):
-        # boundary samples at their own time, and just before and after it
-        p = boundary_points(t, 9)[i]
+        # boundary samples (odd i: the mirror image) at their own time, and just around it
+        p = boundary_points(t, 9)[i // 2]
+        if i % 2:
+            p = PlanarPoint(-p.x, p.y)
         _assert_matches_reference(max(t + dt, 0.0), p)
 
     @given(kernel_points, st.sampled_from([0, 1]), st.sampled_from([0.0, -1e-9, 1e-9]))
@@ -440,11 +442,8 @@ class TestBoundary:
         assert any(math.dist(p, PlanarPoint(2, 0)) < 1e-12 for p in pts)
 
     def test_count_and_mirroring(self):
-        pts = boundary_points(1.5, 33)
-        assert len(pts) == 4 * 33
-        mirrored = {(round(-p.x, 12), round(p.y, 12)) for p in pts}
-        original = {(round(p.x, 12), round(p.y, 12)) for p in pts}
-        assert mirrored == original
+        # the right half only; reachable_boundary adds the mirror image
+        assert len(boundary_points(1.5, 33)) == 2 * 33
 
     def test_samples_are_reachable(self):
         for t in (0.3, 1.0, 2.5, math.pi, 5.0, 7.0):
@@ -453,7 +452,7 @@ class TestBoundary:
 
     def test_families_join_where_the_arc_ends(self):
         for t in (0.5, 1.5, 3.0):
-            junction = PlanarPoint(x_lr(0.0, t), y_lr(0.0, t))
+            junction = _cc_point(0.0, t)
             theta_end = min(t, 2 * math.pi)
             cs_end = PlanarPoint(
                 (t - theta_end) * math.sin(theta_end) - math.cos(theta_end) + 1,
@@ -468,9 +467,7 @@ class TestBoundary:
             assert loop[-1] == loop[0]
             # the left half retraces the right half's mirror image backwards
             assert loop[256:512] == [PlanarPoint(-p.x, p.y) for p in reversed(loop[:256])]
-            assert {(p.x, p.y) for p in loop} == {
-                (p.x, p.y) for p in boundary_points(t, 128)
-            }
+            assert loop[:256] == boundary_points(t, 128)
             assert all(distance(t, p) <= 1e-6 for p in loop[::8])
 
     def test_errors(self):

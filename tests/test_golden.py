@@ -95,7 +95,8 @@ def dubins_queries() -> list[tuple[float, PlanarPoint]]:
         point = PlanarPoint(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
         queries.append((rng.uniform(0.0, 9.0), point))
     for t in (0.5, 1.0, 2.0, 3.0, math.pi, 4.0, 5.5, 7.0):
-        queries.extend((t, p) for p in dubins.boundary_points(t, 9))
+        for p in dubins.boundary_points(t, 9):  # each sample, then its mirror image
+            queries += [(t, p), (t, PlanarPoint(-p.x, p.y))]
     for x, y in ((0.0, 0.0), (0.0, 3.0), (2.0, 0.0), (-2.0, 0.0), (0.0, -1.0), (1.0, 1.0)):
         for t in (0.0, 1.0, math.pi, 6.0):
             queries.append((t, PlanarPoint(x, y)))
