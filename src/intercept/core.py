@@ -66,9 +66,10 @@ class TargetTrajectory:
 
 
 def _check_speed(traj: LineTrajectory | LissajousTrajectory) -> None:
-    """Reject a negative speed parameter v and store every number as a float."""
-    if traj.v < 0:
-        raise ValueError(f"target speed must be >= 0, got {traj.v}")
+    """Reject a speed v or speed bound outside [0, inf), NaN too; store numbers as floats."""
+    for name, value in (("target speed", traj.v), ("speed bound", traj.speed_bound)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     for name, value in vars(traj).items():
         if value is not None:
             object.__setattr__(traj, name, float(value))
@@ -121,11 +122,11 @@ class LissajousTrajectory(TargetTrajectory):
     _ay: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.omega_x <= 0 or self.omega_y <= 0:
+        if not (self.omega_x > 0 and self.omega_y > 0):  # NaN fails too
             raise ValueError(f"frequencies must be > 0, got {self.omega_x}, {self.omega_y}")
-        _check_speed(self)
         if self.speed_bound is None:
             object.__setattr__(self, "speed_bound", self.v)
+        _check_speed(self)
         object.__setattr__(self, "_ax", self.v / self.omega_x)
         object.__setattr__(self, "_ay", self.v / self.omega_y)
 
@@ -176,7 +177,10 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
         if math.isnan(sum(speeds)):  # speeds are >= 0: NaN only where one of them is
             i = next(i for i, speed in enumerate(speeds) if math.isnan(speed))
             raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is NaN")
-        for name, value in zip(("times", "xs", "ys", "speed_bound"), (*columns, max(speeds))):
+        if (bound := max(speeds)) == math.inf:  # a finite jump in no time, or an overflow
+            i = speeds.index(bound)
+            raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is infinite")
+        for name, value in zip(("times", "xs", "ys", "speed_bound"), (*columns, bound)):
             object.__setattr__(self, name, value)
 
     def _at(self, t: float) -> PlanarPoint:
@@ -199,8 +203,8 @@ class CustomTrajectory(TargetTrajectory):
     speed_bound: float
 
     def __post_init__(self) -> None:
-        if self.speed_bound < 0:
-            raise ValueError(f"speed bound must be >= 0, got {self.speed_bound}")
+        if not 0.0 <= self.speed_bound < math.inf:  # NaN fails too
+            raise ValueError(f"speed bound must be finite and >= 0, got {self.speed_bound}")
 
     def _at(self, t: float) -> PlanarPoint:
         return self.fn(t)

@@ -80,15 +80,21 @@ def best_estimator(
     return plant.best_step(t, y, rho, v, ell)
 
 
+def _speed_bound(trajectory: TargetTrajectory) -> float:
+    """The declared bound v: every step divides by 1 + v, safe only for 0 <= v < inf."""
+    v = trajectory.speed_bound
+    if not 0.0 <= v < math.inf:  # NaN fails too
+        raise ValueError(f"trajectory speed bound must be finite and >= 0, got {v}")
+    return v
+
+
 def _iterates(plant, trajectory, ell, reach, step, max_steps):
     """Yield ``(t, y, rho, t_next)`` from t = 0; t_next is evaluated only when resumed.
 
     ``t_next`` is None once ``rho <= reach`` or after ``max_steps`` steps. Stops
     after the first non-finite step, target position or distance.
     """
-    v = trajectory.speed_bound
-    if not math.isfinite(v):
-        raise ValueError("trajectory speed bound must be finite")
+    v = _speed_bound(trajectory)
     t = 0.0
     for n in itertools.count():
         y = trajectory.position(t)
@@ -129,7 +135,7 @@ def solve(
     ``UNREACHABLE`` - a heuristic, since an infinite capture time cannot be
     certified in finite time). A step to a non-finite time (unless +inf
     passes a finite horizon), target position or distance also ends the solve
-    as ``UNREACHABLE``, at the last finite iterate; a non-finite speed bound,
+    as ``UNREACHABLE``, at the last finite iterate; a speed bound outside [0, inf),
     a horizon that is not > 0, ``max_iterations < 0``, or a non-finite target
     position or distance at t = 0 raises ValueError. For
     ell = 0 the relative threshold degenerates, so ``EPSILON_ABS`` is used
@@ -230,13 +236,13 @@ def grid_oracle(
     Scans from t = 0 with the Lipschitz-safe step max(resolution, g/(1+v)),
     which provably cannot skip a crossing by more than ``resolution``, then
     bisects the bracketing interval down to ``resolution``. Returns None if
-    no crossing is found up to the horizon.
+    no crossing is found up to the horizon; checks the speed bound as ``solve``.
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    v = trajectory.speed_bound
+    v = _speed_bound(trajectory)
 
     def g(t: float) -> float:
         return plant.distance(t, trajectory.position(t)) - ell

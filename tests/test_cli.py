@@ -50,6 +50,26 @@ def test_solve_malformed_scenario_names_field(scenario_file, capsys):
     assert "ell" in err
 
 
+@pytest.mark.parametrize("bound", [-0.9, -1])
+def test_negative_speed_bound_exits_1(scenario_file, capsys, bound):
+    # -0.9 once read as intercepted at t = 41.43 after one step, where the
+    # oracle crosses at 3.74; -1 raised ZeroDivisionError
+    doc = {
+        "plant": "simple",
+        "trajectory": {
+            "kind": "lissajous", "xi": 3, "eta": 3, "omega_x": 1, "omega_y": 1, "v": 0.5,
+            "speed_bound": bound,
+        },
+        "capture": {"ell": 0.1, "epsilon": 1e-06},
+    }
+    for command in ("solve", "trace", "plot", "oracle"):
+        code = main([command, scenario_file(doc)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "field 'trajectory'" in err and "Traceback" not in err
+        assert "intercepted" not in out
+
+
 def test_solve_missing_file(capsys):
     code = main(["solve", "/nonexistent/scenario.json"])
     assert code == 1

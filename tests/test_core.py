@@ -97,6 +97,11 @@ class TestLissajousTrajectory:
         assert p.x == pytest.approx(0.0, abs=1e-15)
         assert p.y == pytest.approx(-1.0, abs=1e-15)
 
+    def test_nan_frequency_rejected(self):
+        for omegas in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="frequencies must be > 0"):
+                make_lissajous_trajectory(0, 0, *omegas, 1.0)
+
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError):
             make_lissajous_trajectory(0, 0, 0.0, 1.0, 1.0)
@@ -164,6 +169,12 @@ class TestPiecewiseLinearTrajectory:
         )
         assert traj.speed_bound == 2.0
 
+    def test_infinite_speed_rejected(self):
+        # a finite jump in a subnormal time, and a jump whose length overflows
+        for times, xs in (((0.0, 1e-300), (0.0, 1e300)), ((0.0, 1.0), (-1e308, 1e308))):
+            with pytest.raises(ValueError, match="#0 to sample #1 is infinite"):
+                PiecewiseLinearTrajectory(times, xs, (0.0, 0.0))
+
     def test_single_sample(self):
         traj = make_piecewise_linear_trajectory([(0.0, PlanarPoint(2, 3))])
         assert traj.speed_bound == 0.0
@@ -223,6 +234,23 @@ class TestPiecewiseLinearTrajectory:
         # a NaN speed would drop out of max() and understate the bound
         with pytest.raises(ValueError, match=message):
             PiecewiseLinearTrajectory(*columns)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b: make_line_trajectory(0, 1, 0, b),
+        lambda b: make_lissajous_trajectory(0, 0, 1, 1, b),
+        lambda b: make_lissajous_trajectory(0, 0, 1, 1, 0.5, speed_bound=b),
+        lambda b: make_custom_trajectory(lambda t: PlanarPoint(0.0, 0.0), b),
+    ],
+    ids=["line.v", "lissajous.v", "lissajous.speed_bound", "custom.speed_bound"],
+)
+@pytest.mark.parametrize("bound", [-0.9, -1.0, math.nan, math.inf])
+def test_speed_outside_zero_to_infinity_rejected(make, bound):
+    # each step divides by 1 + bound: a negative or NaN one makes it unsound
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        make(bound)
 
 
 @st.composite

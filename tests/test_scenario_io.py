@@ -57,6 +57,17 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="frequencies"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("bound", [-0.9, -1])
+    def test_negative_speed_bound_names_the_trajectory(self, bound):
+        doc = json.loads(MINIMAL)
+        doc["trajectory"] = {
+            "kind": "lissajous", "xi": 3, "eta": 3, "omega_x": 1, "omega_y": 1, "v": 0.5,
+            "speed_bound": bound,
+        }
+        with pytest.raises(ScenarioError, match="speed bound must be finite and >= 0") as info:
+            parse_scenario(json.dumps(doc))
+        assert info.value.field == "trajectory"
+
     def test_unknown_top_level_field_rejected(self):
         doc = json.loads(MINIMAL)
         doc["speed"] = 3

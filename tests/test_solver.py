@@ -10,6 +10,7 @@ from intercept.benchmarks import CAPTURE_RADIUS, PRECISIONS, benchmark_rows
 from intercept.core import (
     CaptureSpec,
     PlanarPoint,
+    TargetTrajectory,
     make_custom_trajectory,
     make_line_trajectory,
     make_piecewise_linear_trajectory,
@@ -78,6 +79,18 @@ class NanAfterStartGenericPlant(PlantModel):
     def distance(self, t, y):
         self.calls += 1
         return SIMPLE_MOTIONS.distance(t, y) if t == 0.0 else math.nan
+
+
+class DeclaredBoundTrajectory(TargetTrajectory):
+    """A target at rest at (0, 5) that declares any speed bound, unchecked."""
+
+    kind = "declared"
+
+    def __init__(self, speed_bound):
+        self.speed_bound = speed_bound
+
+    def _at(self, t):
+        return PlanarPoint(0.0, 5.0)
 
 
 class TestSimpleEstimator:
@@ -310,9 +323,20 @@ class TestSolve:
     @pytest.mark.parametrize("bound", [math.nan, math.inf])
     def test_non_finite_speed_bound_is_rejected(self, entry, plant, bound):
         # refine_ground_truth once returned 0.0 here on the Dubins plant
-        traj = make_custom_trajectory(lambda t: PlanarPoint(0.0, 5.0), bound)
+        traj = DeclaredBoundTrajectory(bound)
         with pytest.raises(ValueError, match="speed bound"):
             entry(plant, traj)
+
+    @pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+    @pytest.mark.parametrize("bound", [-0.9, -1.0, -math.inf])
+    def test_negative_speed_bound_is_rejected_by_every_scan(self, plant, bound):
+        # steps over (1 + v) overshoot for v < 0; grid_oracle's scan checked nothing
+        traj = DeclaredBoundTrajectory(bound)
+        for entry in ENTRY_POINTS.values():
+            with pytest.raises(ValueError, match="speed bound must be finite and >= 0"):
+                entry(plant, traj)
+        with pytest.raises(ValueError, match="speed bound must be finite and >= 0"):
+            grid_oracle(plant, traj, 0.1, 10.0, 1e-3)
 
     def test_step_underflow_flags_unreachable(self):
         class FrozenDistancePlant(PlantModel):
