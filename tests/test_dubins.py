@@ -19,7 +19,15 @@ from intercept.dubins import (
     distance,
     theta_cs,
 )
-from intercept.plants import SIMPLE_MOTIONS, simple_distance
+from intercept.plants import (
+    LEFT,
+    SIMPLE_MOTIONS,
+    InterceptionPath,
+    arc,
+    simple_distance,
+    straight,
+    wait,
+)
 from oracles import DubinsBoundaryOracle, reference_dubins_contains, reference_dubins_distance
 
 times = st.floats(min_value=0, max_value=12, allow_nan=False)
@@ -224,10 +232,29 @@ class TestCubicRoots:
             for xi in cc_cubic_roots(t, p):
                 assert abs(self._residual(t, p, xi)) < 1e-9 * scale
 
+    def test_near_double_root_counts_as_real(self):
+        # (x - r)^2 (x + 2r) with its constant nudged up: a tiny positive discriminant,
+        # and a conjugate pair whose imaginary part is below the tolerance
+        r = 1e-3
+        roots = dubins._real_cubic_roots(1.0, 0.0, -3.0 * r * r, 2.0 * r**3 * (1.0 + 2.2e-16))
+        assert roots == pytest.approx([-2.0 * r, r], abs=1e-15)
+
+    def test_triple_root(self):
+        # (x - 1)^3 = x^3 - 3x^2 + 3x - 1: a zero discriminant with p == 0
+        assert dubins._real_cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]
+
     def test_known_cubic(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
         roots = sorted(dubins._real_cubic_roots(1.0, -6.0, 11.0, -6.0))
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
+
+
+def test_acos_clamps_rounding_slack_and_rejects_the_rest():
+    assert dubins._acos(1.0 + 1e-13) == 0.0
+    assert dubins._acos(-1.0 - 1e-13) == math.pi
+    for u in (1.0 + 1e-9, -1.0 - 1e-9):
+        with pytest.raises(ValueError, match="arccos argument"):
+            dubins._acos(u)
 
 
 class TestDistance:
@@ -513,6 +540,15 @@ class TestPath:
         assert math.dist(target, path.endpoint) == pytest.approx(0.05, abs=1e-6)
         flattened = DUBINS_CAR.sample_path(path)
         assert math.dist(flattened[-1], path.endpoint) < 1e-9
+
+    def test_arcs_run_on_the_unit_circle(self):
+        # heading +y, a quarter turn left about (-1, 0) ends at (-1, 1) heading -x
+        segments = (arc(LEFT, math.pi / 2), straight(1.0), wait(2.0))
+        points = DUBINS_CAR.sample_path(InterceptionPath(segments, PlanarPoint(-2.0, 1.0)))
+        assert len(points) == 1 + math.ceil((math.pi / 2) / 0.05) + 1
+        assert all(abs(math.dist(p, (-1.0, 0.0)) - 1.0) < 1e-15 for p in points[:-1])
+        assert math.dist(points[-2], (-1.0, 1.0)) < 1e-15
+        assert math.dist(points[-1], (-2.0, 1.0)) < 1e-15
 
     def test_left_half_plane_is_mirrored(self):
         path = DUBINS_CAR.path(math.pi, PlanarPoint(-2, 0), 0.0, 1e-6)

@@ -8,6 +8,9 @@ from intercept.plants import (
     SIMPLE_MOTIONS,
     STRAIGHT,
     WAIT,
+    InterceptionPath,
+    PathSegment,
+    PlantModel,
     get_plant,
     simple_distance,
 )
@@ -135,3 +138,31 @@ def test_reachable_boundary_is_the_disk_of_radius_t():
         p = PlanarPoint(2.5 * math.cos(a), 2.5 * math.sin(a))
         assert simple_distance(2.5, p) == pytest.approx(0.0, abs=1e-12)
         assert simple_distance(2.5, p.scaled(1.01)) > 0.0
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("turn", 1.0), "unknown segment kind 'turn'"),
+        (("straight", -0.5), "segment duration must be >= 0, got -0.5"),
+        (("arc", 1.0), "arc direction must be left or right, got None"),
+        (("arc", 1.0, "up"), "arc direction must be left or right, got 'up'"),
+    ],
+)
+def test_path_segment_rejects_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PathSegment(*fields)
+
+
+def test_a_distance_only_plant_cannot_draw():
+    class DistanceOnly(PlantModel):
+        name = "distance-only"
+
+        def distance(self, t, y):
+            return simple_distance(t, y)
+
+    plant = DistanceOnly()
+    with pytest.raises(NotImplementedError, match="distance-only cannot draw its reachable set"):
+        plant.reachable_boundary(1.0)
+    with pytest.raises(NotImplementedError, match="distance-only cannot draw its paths"):
+        plant.sample_path(InterceptionPath((), PlanarPoint(0.0, 0.0)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intercept.benchmarks import CAPTURE_RADIUS, PRECISIONS, benchmark_rows
+from intercept.benchmarks import CAPTURE_RADIUS, PRECISIONS, benchmark_rows, iteration_counts
 from intercept.core import (
     CaptureSpec,
     PlanarPoint,
@@ -455,6 +455,11 @@ class TestRefineGroundTruth:
         with pytest.raises(ConvergenceError, match="within 5 iterations"):
             times.extend(refine_iterates(SIMPLE_MOTIONS, traj, 0.1, max_iterations=5))
         assert len(times) == 6
+
+    def test_iteration_counts_raise_when_a_precision_is_not_reached(self):
+        # t_ref - t stays 0.5 >= 1e-3 at both iterates
+        with pytest.raises(ConvergenceError, match="precision 0.001 not reached in 1 steps"):
+            iteration_counts([0.0, 0.5], 1.0, (1e-3,))
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_budget_below_one_is_rejected(self, max_iterations):
