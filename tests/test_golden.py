@@ -20,12 +20,14 @@ Last, for three seeded recorded-track documents (200, 1,000 and 5,000
 samples written as a mix of integer and float literals), it holds the SHA-256
 of the re-emitted scenario and of the solve's result document, so a change
 to how tracks are parsed, stored or evaluated must keep both byte-identical.
-``scripts/make_golden.py`` rewrites the file from the functions below.
+``scripts/make_golden.py`` rewrites the file from the functions below, byte
+for byte on an unchanged tree; the last test checks that.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import pathlib
@@ -286,3 +288,12 @@ def track_digests(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(TRACKS))
 def test_track_documents_are_byte_identical(name):
     assert track_digests(name) == GOLDEN["tracks"][name]
+
+
+def test_generator_rewrites_the_file_byte_for_byte():
+    # so that a deliberate change shows in ``git diff`` exactly as the values it moved
+    script = HERE.parent / "scripts" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", script)
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    assert make_golden.golden_text().encode("utf-8") == (HERE / "golden.json").read_bytes()
