@@ -177,7 +177,7 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
         if math.isnan(sum(speeds)):  # speeds are >= 0: NaN only where one of them is
             i = next(i for i, speed in enumerate(speeds) if math.isnan(speed))
             raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is NaN")
-        if (bound := max(speeds)) == math.inf:  # a finite jump in no time, or an overflow
+        if (bound := max(speeds)) == math.inf:  # a jump whose length or speed overflows
             i = speeds.index(bound)
             raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is infinite")
         for name, value in zip(("times", "xs", "ys", "speed_bound"), (*columns, bound)):
