@@ -9,8 +9,7 @@ and flags each cell that lands within one iteration of the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import TargetTrajectory, make_line_trajectory, make_lissajous_trajectory
 from .plants import PLANT_NAMES, get_plant
@@ -22,8 +21,7 @@ PRECISIONS = (1e-3, 1e-6, 1e-9)
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class BenchmarkRow:
+class BenchmarkRow(NamedTuple):
     label: str
     trajectory: TargetTrajectory
     reference: dict[str, tuple[int, int, int]]  # plant -> counts per precision
@@ -99,8 +97,7 @@ def iteration_counts(
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class TableCellResult:
+class TableCellResult(NamedTuple):
     row_label: str
     plant: str
     t_ref: float

@@ -8,7 +8,6 @@ or an oracle finds no crossing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .core import CaptureSpec, LissajousTrajectory
@@ -62,7 +61,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     scenario = parse_scenario(text)
     if args.horizon is not None:
-        scenario = dataclasses.replace(scenario, horizon=args.horizon)
+        scenario = scenario._replace(horizon=args.horizon)
     traj = scenario.trajectory
     if isinstance(traj, LissajousTrajectory) and traj.speed_bound == traj.v:
         print(

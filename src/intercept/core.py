@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple
 
 
@@ -29,31 +28,41 @@ class PlanarPoint(NamedTuple):
 ORIGIN = PlanarPoint(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class CaptureSpec:
-    """Capture radius and relative stopping error of the solver loop."""
-
+class _Capture(NamedTuple):
     ell: float
     epsilon: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ell < math.inf:
-            raise ValueError(f"capture radius must be finite and >= 0, got {self.ell}")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(
-                f"relative stopping error must be finite and > 0, got {self.epsilon}"
-            )
+
+class CaptureSpec(_Capture):
+    """Capture radius and relative stopping error of the solver loop."""
+
+    __slots__ = ()
+
+    def __new__(cls, ell: float, epsilon: float) -> CaptureSpec:
+        if not 0.0 <= ell < math.inf:
+            raise ValueError(f"capture radius must be finite and >= 0, got {ell}")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"relative stopping error must be finite and > 0, got {epsilon}")
+        return tuple.__new__(cls, (ell, epsilon))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> CaptureSpec:  # so that _replace checks too
+        return cls(*values)
 
 
 class TargetTrajectory:
     """Evaluatable target path with a declared Lipschitz speed bound.
 
-    Each kind is a frozen dataclass below whose fields are its scenario
-    fields; ``kind`` names it in scenario documents. ``position`` is a pure
-    function of t, so repeated evaluation at the same time is bit-identical.
+    ``position`` is a pure function of t, so repeated evaluation at the same
+    time is bit-identical. A kind below names its constructor arguments, in
+    order, in ``_fields``: they are its scenario fields. ``_field_defaults``
+    maps those a document may leave out to their defaults, as on a named tuple.
     """
 
+    __slots__ = ()
     kind: ClassVar[str]
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _field_defaults: ClassVar[dict[str, Any]] = {}
     speed_bound: float
 
     def position(self, t: float) -> PlanarPoint:
@@ -62,47 +71,70 @@ class TargetTrajectory:
 
     def scenario_fields(self) -> dict[str, Any]:
         """The fields a scenario document spells out, by name."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {name: getattr(self, name) for name in self._fields}
 
 
-def _check_speed(traj: LineTrajectory | LissajousTrajectory) -> None:
-    """Reject a speed v or speed bound outside [0, inf), NaN too; store numbers as floats."""
-    for name, value in (("target speed", traj.v), ("speed bound", traj.speed_bound)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    for name, value in vars(traj).items():
-        if value is not None:
-            object.__setattr__(traj, name, float(value))
+class _Frozen(TargetTrajectory):
+    """A built-in kind: immutable, with ``repr``, ``==`` and ``hash`` over ``_fields``."""
+
+    __slots__ = ()
+
+    def _set(self, **values: Any) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
+        return type(self), tuple(self.scenario_fields().values())
 
 
-@dataclass(frozen=True)
-class LineTrajectory(TargetTrajectory):
+def _check_speed(name: str, value: float) -> None:
+    """Reject a speed or speed bound outside [0, inf), NaN too."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+class LineTrajectory(_Frozen):
     """Target moving with constant velocity v in direction phi from (xi, eta)."""
 
     kind = "line"
-    xi: float
-    eta: float
-    phi: float
-    v: float
-    # cos(phi) and sin(phi), computed once; not scenario fields
-    _cos: float = field(init=False, repr=False, compare=False)
-    _sin: float = field(init=False, repr=False, compare=False)
+    _fields = ("xi", "eta", "phi", "v")
+    # the bound v, and cos(phi) and sin(phi), computed once; not fields
+    __slots__ = (*_fields, "speed_bound", "_cos", "_sin")
 
-    def __post_init__(self) -> None:
-        _check_speed(self)
-        object.__setattr__(self, "_cos", math.cos(self.phi))
-        object.__setattr__(self, "_sin", math.sin(self.phi))
-
-    @property
-    def speed_bound(self) -> float:
-        return self.v
+    def __init__(self, xi: float, eta: float, phi: float, v: float) -> None:
+        _check_speed("target speed", v)
+        phi, v = float(phi), float(v)
+        self._set(
+            xi=float(xi), eta=float(eta), phi=phi, v=v,
+            speed_bound=v, _cos=math.cos(phi), _sin=math.sin(phi),
+        )
 
     def _at(self, t: float) -> PlanarPoint:
         return PlanarPoint(self.xi + self.v * t * self._cos, self.eta + self.v * t * self._sin)
 
 
-@dataclass(frozen=True)
-class LissajousTrajectory(TargetTrajectory):
+class LissajousTrajectory(_Frozen):
     """Target oscillating on a Lissajous figure centered at (xi, eta).
 
     The speed bound defaults to the amplitude parameter v, which is what the
@@ -111,28 +143,35 @@ class LissajousTrajectory(TargetTrajectory):
     """
 
     kind = "lissajous"
-    xi: float
-    eta: float
-    omega_x: float
-    omega_y: float
-    v: float
-    speed_bound: float | None = None
-    # the amplitudes v/omega_x and v/omega_y, computed once; not scenario fields
-    _ax: float = field(init=False, repr=False, compare=False)
-    _ay: float = field(init=False, repr=False, compare=False)
+    _fields = ("xi", "eta", "omega_x", "omega_y", "v", "speed_bound")
+    _field_defaults = {"speed_bound": None}
+    # the bound as given (None: derived from v), and the amplitudes v/omega_x
+    # and v/omega_y, computed once
+    __slots__ = (*_fields[:-1], "_bound", "_ax", "_ay")
 
-    def __post_init__(self) -> None:
-        if not (self.omega_x > 0 and self.omega_y > 0):  # NaN fails too
-            raise ValueError(f"frequencies must be > 0, got {self.omega_x}, {self.omega_y}")
-        if self.speed_bound is None:
-            object.__setattr__(self, "speed_bound", self.v)
-        _check_speed(self)
-        object.__setattr__(self, "_ax", self.v / self.omega_x)
-        object.__setattr__(self, "_ay", self.v / self.omega_y)
+    def __init__(
+        self, xi: float, eta: float, omega_x: float, omega_y: float, v: float,
+        speed_bound: float | None = None,
+    ) -> None:
+        if not (omega_x > 0 and omega_y > 0):  # NaN fails too
+            raise ValueError(f"frequencies must be > 0, got {omega_x}, {omega_y}")
+        _check_speed("target speed", v)
+        if speed_bound is not None:
+            _check_speed("speed bound", speed_bound)
+            speed_bound = float(speed_bound)
+        v, omega_x, omega_y = float(v), float(omega_x), float(omega_y)
+        self._set(
+            xi=float(xi), eta=float(eta), omega_x=omega_x, omega_y=omega_y, v=v,
+            _bound=speed_bound, _ax=v / omega_x, _ay=v / omega_y,
+        )
+
+    @property
+    def speed_bound(self) -> float:
+        return self.v if self._bound is None else self._bound
 
     def scenario_fields(self) -> dict[str, Any]:
         doc = super().scenario_fields()
-        if self.speed_bound == self.v:
+        if self._bound is None:
             del doc["speed_bound"]  # the default
         return doc
 
@@ -143,8 +182,7 @@ class LissajousTrajectory(TargetTrajectory):
         )
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearTrajectory(TargetTrajectory):
+class PiecewiseLinearTrajectory(_Frozen):
     """Linear interpolation through time-stamped points, constant after the last.
 
     The sample columns are ``times`` (from t = 0, strictly increasing), ``xs``
@@ -152,13 +190,11 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
     """
 
     kind = "piecewise_linear"
-    times: tuple[float, ...]
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    speed_bound: float = field(init=False)
+    _fields = ("times", "xs", "ys")
+    __slots__ = (*_fields, "speed_bound")
 
-    def __post_init__(self) -> None:
-        columns = times, xs, ys = [tuple(map(float, c)) for c in (self.times, self.xs, self.ys)]
+    def __init__(self, times: Iterable[float], xs: Iterable[float], ys: Iterable[float]) -> None:
+        columns = times, xs, ys = [tuple(map(float, c)) for c in (times, xs, ys)]
         if not len(times) == len(xs) == len(ys):
             raise ValueError(f"sample columns differ in length: {[len(c) for c in columns]}")
         if len(times) == 0:
@@ -180,8 +216,7 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
         if (bound := max(speeds)) == math.inf:  # a jump whose length or speed overflows
             i = speeds.index(bound)
             raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is infinite")
-        for name, value in zip(("times", "xs", "ys", "speed_bound"), (*columns, bound)):
-            object.__setattr__(self, name, value)
+        self._set(times=times, xs=xs, ys=ys, speed_bound=bound)
 
     def _at(self, t: float) -> PlanarPoint:
         times, xs, ys = self.times, self.xs, self.ys
@@ -194,17 +229,15 @@ class PiecewiseLinearTrajectory(TargetTrajectory):
         return PlanarPoint(x0 + w * (xs[i] - x0), y0 + w * (ys[i] - y0))
 
 
-@dataclass(frozen=True)
-class CustomTrajectory(TargetTrajectory):
+class CustomTrajectory(_Frozen):
     """An arbitrary pure function t -> point with a caller-declared bound."""
 
     kind = "custom"
-    fn: Callable[[float], PlanarPoint]
-    speed_bound: float
+    _fields = __slots__ = ("fn", "speed_bound")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.speed_bound < math.inf:  # NaN fails too
-            raise ValueError(f"speed bound must be finite and >= 0, got {self.speed_bound}")
+    def __init__(self, fn: Callable[[float], PlanarPoint], speed_bound: float) -> None:
+        _check_speed("speed bound", speed_bound)
+        self._set(fn=fn, speed_bound=speed_bound)
 
     def _at(self, t: float) -> PlanarPoint:
         return self.fn(t)
@@ -222,8 +255,7 @@ def make_piecewise_linear_trajectory(samples: Iterable) -> PiecewiseLinearTrajec
     return PiecewiseLinearTrajectory(times, [p.x for p in points], [p.y for p in points])
 
 
-@dataclass(frozen=True)
-class SolveTrace:
+class SolveTrace(NamedTuple):
     """The iterate sequence of one solve: pairs (t_n, distance at t_n)."""
 
     iterates: tuple[tuple[float, float], ...]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import ORIGIN, PlanarPoint
 
@@ -23,21 +22,30 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """One motion primitive: a unit-circle arc, a straight run, or idling."""
-
+class _Segment(NamedTuple):
     kind: str
     duration: float
     direction: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (ARC, STRAIGHT, WAIT):
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.duration < 0:
-            raise ValueError(f"segment duration must be >= 0, got {self.duration}")
-        if self.kind == ARC and self.direction not in (LEFT, RIGHT):
-            raise ValueError(f"arc direction must be left or right, got {self.direction!r}")
+
+class PathSegment(_Segment):
+    """One motion primitive: a unit-circle arc, a straight run, or idling."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, duration: float, direction: str | None = None) -> PathSegment:
+        if kind not in (ARC, STRAIGHT, WAIT):
+            raise ValueError(f"unknown segment kind {kind!r}")
+        if not 0.0 <= duration < math.inf:
+            need = ">= 0" if duration < 0 else "finite"  # NaN and inf are not finite
+            raise ValueError(f"segment duration must be {need}, got {duration}")
+        if kind == ARC and direction not in (LEFT, RIGHT):
+            raise ValueError(f"arc direction must be left or right, got {direction!r}")
+        return tuple.__new__(cls, (kind, duration, direction))
+
+    @classmethod
+    def _make(cls, values: Iterable) -> PathSegment:  # so that _replace checks too
+        return cls(*values)
 
 
 def sample_segments(segments: Iterable[PathSegment], heading: float) -> list[PlanarPoint]:
@@ -79,8 +87,7 @@ def wait(duration: float) -> PathSegment:
     return PathSegment(WAIT, duration)
 
 
-@dataclass(frozen=True)
-class InterceptionPath:
+class InterceptionPath(NamedTuple):
     """A reconstructed minimum-time path, ending at ``endpoint``."""
 
     segments: tuple[PathSegment, ...]

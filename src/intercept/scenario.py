@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import (
     CaptureSpec,
@@ -42,8 +41,7 @@ class ScenarioError(ValueError):
         super().__init__(message if field is None else f"{message} (field '{field}')")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     plant: str
     trajectory: TargetTrajectory
     capture: CaptureSpec
@@ -109,13 +107,13 @@ def _parse_trajectory(doc: dict, samples_doc: Any) -> TargetTrajectory:
         )
     # a track's only fields are its sample columns, the top-level ``samples``
     track = cls is PiecewiseLinearTrajectory
-    numbers = [] if track else [f for f in fields(cls) if f.init]
-    _reject_unknown(doc, {"kind", *(f.name for f in numbers)}, "trajectory.")
+    numbers = () if track else cls._fields
+    _reject_unknown(doc, {"kind", *numbers}, "trajectory.")
     if track != (samples_doc is not None):
         needed = "required" if samples_doc is None else "not valid"
         raise ScenarioError(f"'samples' is {needed} for {cls.kind} trajectories", field="samples")
     columns = _parse_samples(samples_doc) if track else ()
-    given = [f.name for f in numbers if f.name in doc or f.default is MISSING]
+    given = [name for name in numbers if name in doc or name not in cls._field_defaults]
     values = {name: _number(doc, name, "trajectory.") for name in given}
     try:
         return cls(*columns, **values)

@@ -13,8 +13,7 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory
 from .plants import InterceptionPath, PlantModel
@@ -42,8 +41,7 @@ class SolveStatus(enum.Enum):
 EPSILON_ABS = 1e-9
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: SolveStatus
     t_star: float
     trace: SolveTrace

@@ -1,5 +1,7 @@
-import dataclasses
+import copy
+import inspect
 import math
+import pickle
 import random
 
 import pytest
@@ -311,28 +313,77 @@ _REPLACED = [
 
 @pytest.mark.parametrize("traj, changes", _REPLACED)
 def test_replace_recomputes_what_position_reads(traj, changes):
-    # dataclasses.replace builds through __init__, so the constants that
-    # position reads are computed from the new fields
-    replaced = dataclasses.replace(traj, **changes)
-    declared = {f.name: getattr(traj, f.name) for f in dataclasses.fields(traj) if f.init}
-    fresh = type(traj)(**{**declared, **changes})
+    # a rebuild from scenario_fields runs __init__, so the constants that
+    # position reads, and a default speed bound, come from the new fields
+    replaced = type(traj)(**{**traj.scenario_fields(), **changes})
+    declared = traj.scenario_fields()
+    fresh = type(traj)(*(changes.get(name, value) for name, value in declared.items()))
     for t in (0.0, 0.37, 1.0, 12.5, 1e3):
         got, want = replaced.position(t), fresh.position(t)
         assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
     assert replaced == fresh and hash(replaced) == hash(fresh)
     assert repr(replaced) == repr(fresh)
     assert replaced != traj
+    assert replaced.speed_bound == changes.get("speed_bound", declared.get("speed_bound", replaced.v))
 
 
 @pytest.mark.parametrize("traj, _", _REPLACED)
 def test_only_the_declared_fields_show(traj, _):
-    declared = [f.name for f in dataclasses.fields(traj) if f.init]
+    declared = list(inspect.signature(type(traj)).parameters)
     shown = ", ".join(f"{name}={getattr(traj, name)!r}" for name in declared)
     assert repr(traj) == f"{type(traj).__name__}({shown})"
-    assert [f.name for f in dataclasses.fields(traj) if f.compare] == declared
     assert set(declared) - set(traj.scenario_fields()) <= {"speed_bound"}
     scenario_names = {"xi", "eta", "phi", "omega_x", "omega_y", "v", "speed_bound"}
     assert set(traj.scenario_fields()) <= scenario_names
+
+
+def test_explicit_lissajous_bound_equal_to_v_is_kept():
+    traj = make_lissajous_trajectory(0, 0, 1, 2, 0.5, speed_bound=0.5)
+    assert traj.scenario_fields()["speed_bound"] == 0.5
+    assert "speed_bound" not in make_lissajous_trajectory(0, 0, 1, 2, 0.5).scenario_fields()
+    # a rebuild with a new v keeps a given bound and derives a default one anew
+    assert type(traj)(**{**traj.scenario_fields(), "v": 0.9}).speed_bound == 0.5
+    default = make_lissajous_trajectory(0, 0, 1, 2, 0.5)
+    assert type(default)(**{**default.scenario_fields(), "v": 0.9}).speed_bound == 0.9
+
+
+_KINDS = [
+    make_line_trajectory(0.5, -1.0, 0.3, 0.7),
+    make_lissajous_trajectory(1.0, 2.0, 0.5, 1.5, 0.6),
+    make_lissajous_trajectory(1.0, 2.0, 0.5, 1.5, 0.6, speed_bound=2.0),
+    make_piecewise_linear_trajectory([(0, PlanarPoint(1, 2)), (1, PlanarPoint(2, 2))]),
+    make_custom_trajectory(math.hypot, 1.0),
+]
+
+
+@pytest.mark.parametrize("traj", _KINDS, ids=lambda traj: traj.kind)
+def test_trajectories_are_immutable_values(traj):
+    for name in (*traj.scenario_fields(), "speed_bound", "_cos", "other"):
+        with pytest.raises(AttributeError):
+            setattr(traj, name, 1.0)
+    with pytest.raises(AttributeError):
+        del traj.speed_bound
+    twin = type(traj)(**traj.scenario_fields())
+    assert twin == traj and hash(twin) == hash(traj) and twin is not traj
+    # copies and pickles rebuild through the constructor
+    for other in (copy.copy(traj), copy.deepcopy(traj), pickle.loads(pickle.dumps(traj))):
+        assert other == traj and other.scenario_fields() == traj.scenario_fields()
+        assert other.position(0.75) == traj.position(0.75)
+
+
+def test_records_compare_equal_to_plain_tuples():
+    assert CaptureSpec(0.1, 1e-6) == (0.1, 1e-6)
+    assert SolveTrace(((0.0, 1.0),)) == (((0.0, 1.0),),)
+    assert repr(CaptureSpec(ell=0.1, epsilon=1e-6)) == "CaptureSpec(ell=0.1, epsilon=1e-06)"
+
+
+def test_capture_spec_replace_checks_too():
+    spec = CaptureSpec(0.1, 1e-6)
+    assert spec._replace(ell=0.2) == CaptureSpec(0.2, 1e-6)
+    with pytest.raises(ValueError, match="capture radius"):
+        spec._replace(ell=math.inf)
+    with pytest.raises(ValueError, match="relative stopping error"):
+        spec._replace(epsilon=0.0)
 
 
 def test_custom_trajectory():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -78,3 +79,29 @@ def test_refuses_an_incorrect_or_failing_run(bad, side):
     pair = (bad, good) if side == 0 else (good, bad)
     with pytest.raises(paired_bench.RunError, match="pair 2"):
         paired_bench.summarise([(good, good), pair], METRICS)
+
+
+def test_interleaved_summary_on_canned_round_times():
+    parent = [0.30, 0.20, 0.50, 0.25]
+    change = [0.15, 0.25, 0.20, 0.10]
+    # medians 0.275 and 0.175 s; the change is faster in rounds 1, 3 and 4
+    assert paired_bench.summarise_rounds(parent, change) == (
+        "median round 275 ms -> 175 ms, parent/change 1.571x, change faster in 3 of 4 rounds"
+    )
+
+
+def test_interleaved_ties_count_for_neither():
+    assert paired_bench.summarise_rounds([0.1, 0.1], [0.1, 0.1]).endswith(
+        "parent/change 1.000x, change faster in 0 of 2 rounds"
+    )
+
+
+def test_a_checkout_loads_under_another_name():
+    try:
+        package = paired_bench.load_package(ROOT, "intercept_under_test")
+        assert package.__name__ == "intercept_under_test"
+        assert package.benchmarks.__name__ == "intercept_under_test.benchmarks"
+        assert package.solve.__module__ == "intercept_under_test.solver"
+    finally:
+        for name in [name for name in sys.modules if name.startswith("intercept_under_test")]:
+            del sys.modules[name]

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -282,6 +281,15 @@ class TestEmitScenario:
         strict = self._emit(make_lissajous_trajectory(0, 0, 1, 2, 0.5, speed_bound=0.75))
         assert strict["trajectory"]["speed_bound"] == 0.75
 
+    def test_lissajous_bound_given_equal_to_v_is_written_and_kept(self):
+        traj = make_lissajous_trajectory(0, 0, 1, 2, 0.5, speed_bound=0.5)
+        scenario = Scenario("simple", traj, CaptureSpec(0.1, 1e-6), EstimatorKind.BEST, 50.0)
+        text = emit_scenario(scenario)
+        assert json.loads(text)["trajectory"]["speed_bound"] == 0.5
+        back = parse_scenario(text)
+        assert back.trajectory.scenario_fields() == traj.scenario_fields()
+        assert emit_scenario(back) == text
+
     def test_piecewise_samples_sit_at_the_top_level(self):
         traj = make_piecewise_linear_trajectory([(0, PlanarPoint(1, 2)), (1, PlanarPoint(2, 2))])
         doc = self._emit(traj)
@@ -328,12 +336,22 @@ class TestEmitResult:
         assert parse_result(json.dumps(doc)) == result
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_parse_result_rejects_a_segment_duration_that_is_not_finite(literal):
+    traj = make_line_trajectory(0, 1, 0, 0.25)
+    doc = json.loads(emit_result(solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))))
+    doc["path"]["segments"][0]["duration"] = "@"
+    text = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(ValueError, match="segment duration must be finite"):
+        parse_result(text)
+
+
 def test_emitters_refuse_non_finite_numbers():
     # strict JSON: a NaN or an infinity is an error, never written as a literal
     traj = make_line_trajectory(0, 1, 0, 0.25)
     result = solve(SIMPLE_MOTIONS, traj, CaptureSpec(0.1, 1e-6))
     with pytest.raises(ValueError):
-        emit_result(dataclasses.replace(result, t_star=math.inf))
+        emit_result(result._replace(t_star=math.inf))
     scenario = Scenario("simple", traj, CaptureSpec(0.1, 1e-6), EstimatorKind.BEST, math.nan)
     with pytest.raises(ValueError):
         emit_scenario(scenario)

@@ -13,6 +13,7 @@ from intercept.plants import (
     PlantModel,
     get_plant,
     simple_distance,
+    wait,
 )
 
 times = st.floats(min_value=0, max_value=20, allow_nan=False)
@@ -152,6 +153,20 @@ def test_reachable_boundary_is_the_disk_of_radius_t():
 def test_path_segment_rejects_bad_fields(fields, message):
     with pytest.raises(ValueError, match=message):
         PathSegment(*fields)
+
+
+def test_path_segment_rejects_a_duration_that_is_not_finite():
+    with pytest.raises(ValueError, match="segment duration must be finite, got nan"):
+        PathSegment("straight", math.nan)
+    with pytest.raises(ValueError, match="segment duration must be finite, got inf"):
+        wait(math.inf)
+    with pytest.raises(ValueError, match="segment duration must be >= 0, got -inf"):
+        PathSegment("arc", -math.inf, "left")
+    segment = PathSegment("arc", 1.0, "left")
+    with pytest.raises(ValueError, match="segment duration must be finite, got nan"):
+        segment._replace(duration=math.nan)
+    assert segment == ("arc", 1.0, "left")
+    assert repr(segment) == "PathSegment(kind='arc', duration=1.0, direction='left')"
 
 
 def test_a_distance_only_plant_cannot_draw():
