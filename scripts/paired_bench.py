@@ -3,6 +3,7 @@
 
     python3 scripts/paired_bench.py PARENT_DIR CHANGE_DIR --workload W --runs N --seconds S
     python3 scripts/paired_bench.py PARENT_DIR CHANGE_DIR --workload W --interleaved N
+    python3 scripts/paired_bench.py PARENT_DIR CHANGE_DIR --setup N
 
 The first form runs ``perfbench/run.py --trace 0`` N times in each
 checkout, one pair at a time, alternating which checkout goes first, and
@@ -25,6 +26,14 @@ the same ``repr`` on both. It then times N whole rounds per side, the two
 sides taking turns and the first of each pair flipped every round, so a
 drift of the machine's speed falls on both alike. It prints both median
 round times, their ratio and how many rounds the change won.
+
+The third form loads each checkout's ``perfbench/run.py`` into this process
+and calls its ``measure_setup()`` (the ``setup_s`` probe: the median of
+fresh interpreters that import the package and look up both plants) N
+times per side, the two sides taking turns and the first of each pair
+flipped every time. It prints both medians with their quartiles, their
+ratio, in how many pairs the change was faster and the verdict for
+``setup_s``, by the same rules as the first form.
 """
 
 from __future__ import annotations
@@ -64,6 +73,26 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _compare(
+    parent: list[float], change: list[float], higher: bool, bound: float
+) -> tuple[int, str]:
+    """In how many pairs the change was better, and the benchmark's verdict."""
+    q1, med, q3 = _quartiles(parent)
+    change_med = statistics.median(change)
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    rel = (change_med - med) / med if med else 0.0
+    gain = (change_med - med) if higher else (med - change_med)
+    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+        return wins, "gain"
+    if (-rel if higher else rel) > bound:
+        return wins, f"WORSE beyond the {bound} bound"
+    if med and (q3 - q1) / med > bound and not (
+        min(change) > max(parent) if higher else max(change) < min(parent)
+    ):
+        return wins, "unresolved: the parent spreads wider than the bound"
+    return wins, "within the bound"
+
+
 def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """One line per metric from (parent, change) result dicts.
 
@@ -85,19 +114,8 @@ def summarise(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         change = [c["metrics"][name]["value"] for _, c in pairs]
         q1, med, q3 = _quartiles(parent)
         change_med = statistics.median(change)
-        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
         rel = (change_med - med) / med if med else 0.0
-        gain = (change_med - med) if higher else (med - change_med)
-        if wins >= 0.9 * len(pairs) and gain > q3 - q1:
-            verdict = "gain"
-        elif (-rel if higher else rel) > metric["bound"]:
-            verdict = f"WORSE beyond the {metric['bound']} bound"
-        elif med and (q3 - q1) / med > metric["bound"] and not (
-            min(change) > max(parent) if higher else max(change) < min(parent)
-        ):
-            verdict = "unresolved: the parent spreads wider than the bound"
-        else:
-            verdict = "within the bound"
+        wins, verdict = _compare(parent, change, higher, metric["bound"])
         lines.append(
             f"{name} ({metric['unit']}): {med:.6g} [IQR {q1:.6g}-{q3:.6g}] -> {change_med:.6g}"
             f" ({rel:+.1%}), change better in {wins} of {len(pairs)}: {verdict}"
@@ -158,16 +176,66 @@ def interleaved(parent_dir, change_dir, workload: str, seed: int, rounds: int) -
     ]
 
 
+def load_runner(checkout: pathlib.Path, name: str):
+    """``checkout``'s perfbench/run.py imported as ``name``; it probes that checkout's src."""
+    perfbench = str(checkout / "perfbench")
+    sys.path.insert(0, perfbench)  # for its own `import tracing, workloads`
+    try:
+        spec = importlib.util.spec_from_file_location(name, checkout / "perfbench" / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(perfbench)
+    return module
+
+
+def summarise_setup(parent: list[float], change: list[float], bound: float) -> str:
+    """One line from the two sides' ``setup_s`` values in seconds, paired by call."""
+    p1, p, p3 = _quartiles(parent)
+    c1, c, c3 = _quartiles(change)
+    wins, verdict = _compare(parent, change, False, bound)
+    return (
+        f"setup_s: {p * 1e3:.2f} ms [IQR {p1 * 1e3:.2f}-{p3 * 1e3:.2f}] -> {c * 1e3:.2f} ms"
+        f" [IQR {c1 * 1e3:.2f}-{c3 * 1e3:.2f}], parent/change {p / c:.3f}x,"
+        f" change faster in {wins} of {len(parent)} pairs: {verdict}"
+    )
+
+
+def setup(parent_dir, change_dir, calls: int, bound: float) -> list[str]:
+    """Alternate ``measure_setup()`` of both checkouts; the summary lines."""
+    runners = [
+        load_runner(checkout, name)
+        for checkout, name in ((parent_dir, "run_parent"), (change_dir, "run_change"))
+    ]
+    times = ([], [])
+    for n in range(calls):
+        for side in (0, 1) if n % 2 == 0 else (1, 0):
+            times[side].append(runners[side].measure_setup())
+    return [
+        f"{calls} alternating measure_setup() calls per side"
+        f" (each the median of {runners[0].SETUP_REPEATS} interpreters):",
+        "  " + summarise_setup(*times, bound),
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=pathlib.Path)
     parser.add_argument("change", type=pathlib.Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload")
     parser.add_argument("--runs", type=int)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--interleaved", type=int, metavar="ROUNDS")
+    parser.add_argument("--setup", type=int, metavar="CALLS")
     args = parser.parse_args(argv)
+    bench = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    if args.setup:
+        bound = next(m["bound"] for m in bench["end_to_end"] if m["name"] == "setup_s")
+        print("\n".join(setup(args.parent, args.change, args.setup, bound)))
+        return 0
+    if args.workload is None:
+        parser.error("--workload is required without --setup")
     if args.interleaved:
         try:
             lines = interleaved(args.parent, args.change, args.workload, args.seed, args.interleaved)
@@ -189,7 +257,6 @@ def main(argv=None) -> int:
             print(f"pair {n} {side}: {json.dumps(sides[side])}", flush=True)
         pairs.append((sides["parent"], sides["change"]))
 
-    bench = json.loads((args.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     print(f"{args.workload}, seed {args.seed}, {args.runs} pairs of {args.seconds:g} s runs:")
     try:
         for line in summarise(pairs, bench["end_to_end"]):

@@ -40,17 +40,34 @@ from .solver import (
     simple_estimator,
     solve,
 )
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    emit_result,
-    emit_scenario,
-    parse_result,
-    parse_scenario,
-)
-from .svgplot import render_svg
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The document and drawing names, imported on first use (PEP 562).
+
+    ``import intercept`` loads only what a solve needs; ``scenario`` (and with
+    it ``json``) and ``svgplot`` load when one of their names is first read.
+    The value is then stored here, so later lookups do not come back.
+    """
+    if name in ("Scenario", "ScenarioError", "emit_result", "emit_scenario",
+                "parse_result", "parse_scenario"):
+        from .scenario import (
+            Scenario,
+            ScenarioError,
+            emit_result,
+            emit_scenario,
+            parse_result,
+            parse_scenario,
+        )
+    elif name == "render_svg":
+        from .svgplot import render_svg
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = locals()[name]
+    globals()[name] = value
+    return value
 
 __all__ = [
     "CaptureSpec",

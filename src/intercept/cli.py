@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .core import CaptureSpec, LissajousTrajectory
-from .benchmarks import PRECISIONS, run_table
 from .plants import get_plant
-from .scenario import Scenario, ScenarioError, emit_result, parse_scenario
 from .solver import EstimatorKind, SolveStatus, grid_oracle, solve
-from .svgplot import render_svg
+
+# The document, drawing and table layers load in the commands that use them,
+# so `intercept table` never loads `json`
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,6 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
+    from .scenario import ScenarioError, parse_scenario
+
     try:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -63,7 +68,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.horizon is not None:
         scenario = scenario._replace(horizon=args.horizon)
     traj = scenario.trajectory
-    if isinstance(traj, LissajousTrajectory) and traj.speed_bound == traj.v:
+    if isinstance(traj, LissajousTrajectory) and "speed_bound" not in traj.scenario_fields():
         print(
             "note: lissajous speed bound defaults to the parameter v; the curve's "
             "true speed reaches v*sqrt(2) (set trajectory.speed_bound to tighten)",
@@ -97,6 +102,8 @@ def _run_solve(scenario: Scenario, args: argparse.Namespace):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .scenario import emit_result
+
     scenario = _load_scenario(args)
     result = _run_solve(scenario, args)
     _write(emit_result(result), args.out)
@@ -125,6 +132,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    from .svgplot import render_svg
+
     scenario = _load_scenario(args)
     result = _run_solve(scenario, args)
     if result.path is None:
@@ -157,6 +166,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .benchmarks import PRECISIONS, run_table
+
     results = run_table()
     header = (
         f"{'trajectory':<42} {'plant':<7}"

@@ -25,15 +25,19 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def line_interception_time(
     xi: float, eta: float, phi: float, v: float, ell: float
 ) -> float:
-    """Smallest t >= 0 with ||y0 + v t d|| = t + ell, for simple motions.
+    """Smallest t >= 0 with ||y0 + v t d|| <= t + ell, for simple motions.
 
-    Squaring gives (v^2 - 1) t^2 + 2 (v y0.d - ell) t + (||y0||^2 - ell^2) = 0;
-    every nonnegative root of the quadratic solves the original equation
-    because t + ell >= 0.
+    A target that starts within ``ell`` is caught at t = 0. Otherwise the
+    first capture is a root of ||y0 + v t d|| = t + ell; squaring gives
+    (v^2 - 1) t^2 + 2 (v y0.d - ell) t + (||y0||^2 - ell^2) = 0, and every
+    nonnegative root of the quadratic solves the original equation because
+    t + ell >= 0. Raises ValueError if there is no capture.
     """
     dx, dy = math.cos(phi), math.sin(phi)
     y0_dot_d = xi * dx + eta * dy
     norm0_sq = xi * xi + eta * eta
+    if norm0_sq <= ell * ell:
+        return 0.0
     coeffs = [v * v - 1.0, 2.0 * (v * y0_dot_d - ell), norm0_sq - ell * ell]
     if abs(coeffs[0]) < 1e-300:
         coeffs = coeffs[1:]

@@ -217,6 +217,22 @@ def test_lissajous_note_on_stderr(scenario_file, capsys):
     assert "speed bound" in captured.err
 
 
+def test_no_lissajous_note_when_the_document_sets_the_bound_to_v(scenario_file, capsys):
+    # the note once compared the bound with v, so it also claimed a default here
+    doc = {
+        "plant": "simple",
+        "trajectory": {
+            "kind": "lissajous", "xi": -1.0, "eta": -2.0,
+            "omega_x": 1.0, "omega_y": math.sqrt(2), "v": 1.0, "speed_bound": 1.0,
+        },
+        "capture": {"ell": 0.1, "epsilon": 1e-06},
+    }
+    code = main(["solve", scenario_file(doc)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+
+
 def test_non_finite_input_is_an_input_error(scenario_file, capsys):
     # Python's JSON parser reads NaN; the solve used to report a capture at
     # t = 0 after 0 iterations

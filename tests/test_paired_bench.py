@@ -105,3 +105,28 @@ def test_a_checkout_loads_under_another_name():
     finally:
         for name in [name for name in sys.modules if name.startswith("intercept_under_test")]:
             del sys.modules[name]
+
+
+def test_setup_summary_on_canned_probe_times():
+    parent = [0.020 + 0.001 * i for i in range(10)]  # 20..29 ms
+    change = [0.013 + 0.001 * i for i in range(10)]  # 13..22 ms, faster in every pair
+    # parent median 24.5 ms with quartiles 22.25 and 26.75: the gap of 7 ms is wider
+    assert paired_bench.summarise_setup(parent, change, 0.25) == (
+        "setup_s: 24.50 ms [IQR 22.25-26.75] -> 17.50 ms [IQR 15.25-19.75],"
+        " parent/change 1.400x, change faster in 10 of 10 pairs: gain"
+    )
+    # faster in 8 of 10 pairs only: no gain, and inside the bound
+    mixed = change[:8] + parent[8:]
+    assert paired_bench.summarise_setup(parent, mixed, 0.25).endswith(
+        "change faster in 8 of 10 pairs: within the bound"
+    )
+
+
+def test_a_checkout_runner_probes_that_checkout():
+    try:
+        runner = paired_bench.load_runner(ROOT, "run_under_test")
+        assert runner.__name__ == "run_under_test"
+        assert runner.SRC == ROOT / "src"
+        assert callable(runner.measure_setup)
+    finally:
+        sys.modules.pop("run_under_test", None)

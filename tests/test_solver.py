@@ -422,6 +422,31 @@ class TestSolve:
             assert a.t_star == b.t_star
 
 
+    @given(coords, coords, st.floats(min_value=0, max_value=2 * math.pi), speeds,
+           st.floats(min_value=0.01, max_value=0.5))
+    @settings(max_examples=200, deadline=None)
+    @example(0.1, 0.1, 0.0, 0.0, 0.4)  # starts within ell: the oracle used to raise
+    @example(0.1, 0.1, 0.0, 1.5, 0.4)  # and here returned 0.59 instead of 0
+    def test_line_against_the_closed_form(self, xi, eta, phi, v, ell):
+        capture = CaptureSpec(ell, 1e-6)
+        result = solve(SIMPLE_MOTIONS, make_line_trajectory(xi, eta, phi, v), capture)
+        try:
+            # solve captures within ell*(1 + epsilon), so that is the radius with no root
+            line_interception_time(xi, eta, phi, v, ell * (1 + capture.epsilon))
+        except ValueError:
+            assert result.status is not SolveStatus.INTERCEPTED
+            return
+        # near v = 1 the capture can take more than the 10,000 steps
+        allowed = {SolveStatus.INTERCEPTED} | ({SolveStatus.BUDGET} if v >= 0.99 else set())
+        assert result.status in allowed
+        try:
+            t_root = line_interception_time(xi, eta, phi, v, ell)
+        except ValueError:
+            return  # caught only within the epsilon margin
+        if result.status is SolveStatus.INTERCEPTED:
+            assert result.t_star <= t_root + 1e-9 * (1 + t_root)
+
+
 class TestRefineGroundTruth:
     def test_matches_quadratic_closed_form(self):
         for (xi, eta, phi, v) in [
