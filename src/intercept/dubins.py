@@ -23,9 +23,6 @@ from .plants import LEFT, RIGHT, InterceptionPath, PlantModel, arc, sample_segme
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
 
-# tolerance for arccos arguments that round just outside [-1, 1]
-_ACOS_SLACK = 1e-12
-_CS_ACOS_LIMIT = math.cos(1e-4)  # smaller CS angles come from atan2
 # leading coefficients smaller than this degrade the cubic's degree
 _COEF_ZERO = 1e-12
 # polished roots with an imaginary part below this count as real
@@ -59,24 +56,14 @@ def _case(ax: float, yy: float) -> tuple[DubinsRegion, float, float]:
     return _D_II, a_cs, a_cc
 
 
-def _acos(u: float) -> float:
-    if -1.0 <= u <= 1.0 or u != u:  # in range, or NaN for math.acos to pass on
-        return math.acos(u)
-    if abs(u) - 1.0 > _ACOS_SLACK:
-        raise ValueError(f"arccos argument {u} out of range")
-    return 0.0 if u > 1.0 else math.pi
-
-
 def _cs(ax: float, yy: float, a_cs: float) -> tuple[float, float]:
     """First-arc angle in [0, 2*pi) and length of the shortest CS path, from alpha_cs."""
     if a_cs < 0.0:
         raise ValueError("CS geometry undefined inside the open turning disks")
     root = math.sqrt(a_cs)
-    cos_theta = (1.0 - ax + yy * root) / (1.0 + a_cs)
-    if cos_theta < _CS_ACOS_LIMIT:
-        theta = _acos(cos_theta)
-    else:  # below 1e-4 rad acos loses more than 1e-12 (half the digits): use the sine
-        theta = abs(math.atan2((yy + root * (ax - 1.0)) / (1.0 + a_cs), cos_theta))
+    # sine and cosine over the same den: an overflowed a_cs gives inf/inf, a NaN angle
+    den = 1.0 + a_cs
+    theta = abs(math.atan2((yy + root * (ax - 1.0)) / den, (1.0 - ax + yy * root) / den))
     # Branch test y >= (1 - |x|) * sqrt(a): squaring shows it is equivalent
     # to y >= 0 or |x| >= 2, which evaluates without the sqrt cancellation
     # that flips the comparison next to the locus (e.g. on the +y axis).
@@ -86,13 +73,19 @@ def _cs(ax: float, yy: float, a_cs: float) -> tuple[float, float]:
 
 
 def _cc_lengths(ax: float, yy: float, a_cc: float) -> tuple[float, float]:
-    """Lengths (plus, minus) of the two CC paths, from alpha_cc."""
+    """Lengths (plus, minus) of the two CC paths, from alpha_cc.
+
+    With s = sqrt(1 - alpha_cc^2), phi = atan2(y, 1 + |x|) and psi = atan2(s, 2 - alpha_cc),
+    the first arcs are |phi - psi| (plus) and |phi + psi| (minus): since
+    (2 - alpha_cc)^2 + s^2 = (1 + |x|)^2 + y^2, cos(phi -+ psi) is
+    ((1 + |x|)(2 - alpha_cc) +- y s) / ((1 + |x|)^2 + y^2), and both differences lie in
+    [-pi, pi]. The second arc takes atan2(s, alpha_cc) = acos(alpha_cc).
+    """
     s = math.sqrt(max(1.0 - a_cc * a_cc, 0.0))
-    den = (1.0 + ax) ** 2 + yy**2
-    theta_plus = _acos(((1.0 + ax) * (2.0 - a_cc) + yy * s) / den)
-    theta_minus = _acos(((1.0 + ax) * (2.0 - a_cc) - yy * s) / den)
-    acos_a = _acos(a_cc)
-    return theta_plus + acos_a, theta_minus + TWO_PI - acos_a
+    phi = math.atan2(yy, 1.0 + ax)
+    psi = math.atan2(s, 2.0 - a_cc)
+    gamma = math.atan2(s, a_cc)
+    return abs(phi - psi) + gamma, abs(phi + psi) + TWO_PI - gamma
 
 
 # --- the same case analysis on PlanarPoint queries ---------------------------
@@ -212,8 +205,8 @@ def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
     region, a_cs, a_cc = _case(ax, yy)
     if region is _D_I:
         # reachable once the CC minus path fits, and the origin at t = 0. That length,
-        # (theta_minus + 2 pi) - acos(a_cc) with theta_minus >= 0 and acos <= pi, rounds to
-        # at least 2 pi - pi == pi (exact in floats), so no earlier time needs it
+        # (|phi + psi| + 2 pi) - atan2(s, a_cc) with math.atan2 <= pi, rounds to at least
+        # 2 pi - pi == pi (exact in floats), so no earlier time needs it
         inside = (t >= math.pi and t >= _cc_lengths(ax, yy, a_cc)[1]) or (
             t == 0.0 and ax == 0.0 and yy == 0.0
         )

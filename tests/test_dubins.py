@@ -73,7 +73,7 @@ class TestThetaCS:
         [(1.192092896e-07, 1.5), (1.192092896e-07, 0.5625), (6.103515625e-05, 8.0), (5.960464477539063e-08, 2.0)],
     )
     def test_small_angle_path_ends_at_the_point(self, x, y):
-        # acos near 1 keeps half the digits of a tiny angle, and the CS path then misses y
+        # an arccos of the cosine keeps half the digits of a tiny angle, and misses y
         theta, length = _cs(x, y, _case(x, y)[1])
         assert math.dist(dubins._cs_point(theta, length), PlanarPoint(x, y)) <= 1e-12
 
@@ -249,14 +249,6 @@ class TestCubicRoots:
         assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
 
-def test_acos_clamps_rounding_slack_and_rejects_the_rest():
-    assert dubins._acos(1.0 + 1e-13) == 0.0
-    assert dubins._acos(-1.0 - 1e-13) == math.pi
-    for u in (1.0 + 1e-9, -1.0 - 1e-9):
-        with pytest.raises(ValueError, match="arccos argument"):
-            dubins._acos(u)
-
-
 class TestDistance:
     def test_cs_branch(self):
         assert distance(1.0, PlanarPoint(0, 3)) == 2.0
@@ -291,6 +283,7 @@ class TestDistance:
         assert d <= abs(t1 - t2) + 1e-12
 
     @given(times, points, points)
+    @example(4.0, PlanarPoint(2.00001, -2.0), PlanarPoint(2.00001, -1.8984375))  # theta_cs ~ pi
     @settings(max_examples=300, deadline=None)
     def test_lipschitz_in_space(self, t, p1, p2):
         d = abs(distance(t, p1) - distance(t, p2))
@@ -299,6 +292,36 @@ class TestDistance:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             distance(-1.0, PlanarPoint(0, 1))
+
+
+# 50-digit references (mpmath) of the CS length minus t, where theta_cs is within
+# 5e-6 of pi and an arccos of the cosine loses up to 1e-9
+@pytest.mark.parametrize(
+    "t, x, y, reference",
+    [
+        (4.0, 2.00001, -2.0, 1.1415926536147932176),
+        (4.0, 2.00001, -1.8984375, 1.0400301536161306627),
+        (4.0, 2.0000000996578073, -1.698277427170475, 0.83987008076027119158),
+    ],
+)
+def test_cs_distance_next_to_a_half_turn_matches_a_50_digit_reference(t, x, y, reference):
+    assert abs(distance(t, PlanarPoint(x, y)) - reference) <= 1e-15 * (1.0 + reference)
+
+
+# 50-digit references (mpmath) of both CC lengths at points in D_I (y < 0) and D_III
+@pytest.mark.parametrize(
+    "ax, yy, plus, minus",
+    [
+        (0.937, -0.998, 2.4592686447020680933, 4.7754442564132417817),
+        (0.283, -0.697, 1.7666118427388772090, 5.5119511752402548232),
+        (0.239, 0.649, 0.70619130789983117272, 6.5420205893247091458),
+        (1.46, 0.888, 2.0488726127997061108, 4.9271506725895981502),
+    ],
+)
+def test_cc_lengths_match_a_50_digit_reference(ax, yy, plus, minus):
+    got = _cc_lengths(ax, yy, _case(ax, yy)[2])
+    assert abs(got[0] - plus) <= 1e-15 * (1.0 + plus)
+    assert abs(got[1] - minus) <= 1e-15 * (1.0 + minus)
 
 
 @pytest.mark.parametrize(
