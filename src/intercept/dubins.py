@@ -128,7 +128,8 @@ def _cc_point(tau: float, t: float) -> PlanarPoint:
 
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     """Real roots of a*x^3 + b*x^2 + c*x + d; for a negligible a, the quadratic's roots
-    and then ``math.inf``, the third root, which a vanishing a sends to infinity."""
+    and then ``math.inf``, the third root, which a vanishing a sends to infinity. None
+    where a power in the depressed form passes the float range (a query over 1e39 away)."""
     if abs(a) <= _COEF_ZERO:
         disc = c * c - 4.0 * b * d
         q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
@@ -138,11 +139,13 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         a = 0.0  # polished as the quadratic it is
     else:
         bn, cn, dn = b / a, c / a, d / a
-        # depressed form z^3 + p z + q with x = z - bn/3
-        p = cn - bn * bn / 3.0
-        q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
+        try:  # depressed form z^3 + p z + q with x = z - bn/3
+            p = cn - bn * bn / 3.0
+            q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
+            disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        except OverflowError:  # float ** raises where * would give inf
+            return []
         shift = -bn / 3.0
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
         roots = []
         if disc > 0.0:
             s = math.sqrt(disc)

@@ -244,6 +244,16 @@ def test_non_finite_input_is_an_input_error(scenario_file, capsys):
     assert "trajectory.xi" in captured.err
 
 
+def test_huge_finite_start_on_the_dubins_plant_ends_at_the_horizon(scenario_file, capsys):
+    # the parser accepts 1e160; the CC cubic's depressed form raised OverflowError
+    doc = dict(LINE_SIMPLE, plant="dubins", trajectory=dict(LINE_SIMPLE["trajectory"], xi=1e160))
+    code = main(["solve", scenario_file(doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["status"] == "horizon"
+    assert "no interception: horizon" in captured.err
+
+
 def test_epsilon_override(scenario_file, capsys):
     path = scenario_file(LINE_SIMPLE)
     runs = {}

@@ -243,6 +243,12 @@ class TestCubicRoots:
         # (x - 1)^3 = x^3 - 3x^2 + 3x - 1: a zero discriminant with p == 0
         assert dubins._real_cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]
 
+    @pytest.mark.parametrize("t, x, y", [(0.0, 1e160, 3.0), (1.0, 1e200, 0.0), (1.0, -1e52, 3.0)])
+    def test_a_huge_query_has_no_root_and_a_finite_distance(self, t, x, y):
+        # a cube or square in the depressed form passes 1.8e308 and raised OverflowError
+        assert cc_cubic_roots(t, PlanarPoint(x, y)) == []
+        assert distance(t, PlanarPoint(x, y)) == math.hypot(x, y)
+
     def test_known_cubic(self):
         # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
         roots = sorted(dubins._real_cubic_roots(1.0, -6.0, 11.0, -6.0))
