@@ -446,6 +446,28 @@ class TestSolve:
         if result.status is SolveStatus.INTERCEPTED:
             assert result.t_star <= t_root + 1e-9 * (1 + t_root)
 
+    def test_dubins_lines_against_the_grid_oracle(self):
+        # the oracle's crossing of ell*(1 + epsilon) is the earliest a solve may stop, and
+        # with none up to the horizon no solve may report a capture
+        rng = np.random.default_rng(24)
+        res, horizon = 1e-7, 60.0
+        statuses = set()
+        for _ in range(3000):
+            xi, eta = rng.uniform(-8, 8, size=2)
+            traj = make_line_trajectory(xi, eta, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2))
+            ell, eps = rng.uniform(0.05, 0.5), 10 ** rng.uniform(-9, -4)
+            result = solve(DUBINS_CAR, traj, CaptureSpec(ell, eps), horizon=horizon)
+            statuses.add(result.status)
+            outer = grid_oracle(DUBINS_CAR, traj, ell * (1 + eps), horizon, res)
+            if result.status is not SolveStatus.INTERCEPTED:
+                assert outer is None
+                continue
+            t = result.t_star
+            assert outer is not None and outer - res <= t
+            inner = grid_oracle(DUBINS_CAR, traj, ell, horizon, res)
+            assert inner is None or t <= inner + 1e-9 * (1 + t)
+        assert statuses == {SolveStatus.INTERCEPTED, SolveStatus.HORIZON}
+
 
 class TestRefineGroundTruth:
     def test_matches_quadratic_closed_form(self):
