@@ -76,10 +76,9 @@ def _cc_lengths(ax: float, yy: float, a_cc: float) -> tuple[float, float]:
     """Lengths (plus, minus) of the two CC paths, from alpha_cc.
 
     With s = sqrt(1 - alpha_cc^2), phi = atan2(y, 1 + |x|) and psi = atan2(s, 2 - alpha_cc),
-    the first arcs are |phi - psi| (plus) and |phi + psi| (minus): since
-    (2 - alpha_cc)^2 + s^2 = (1 + |x|)^2 + y^2, cos(phi -+ psi) is
-    ((1 + |x|)(2 - alpha_cc) +- y s) / ((1 + |x|)^2 + y^2), and both differences lie in
-    [-pi, pi]. The second arc takes atan2(s, alpha_cc) = acos(alpha_cc).
+    the first arcs are |phi -+ psi|, both in [0, pi]: since (2 - alpha_cc)^2 + s^2 equals
+    (1 + |x|)^2 + y^2, cos(phi -+ psi) = ((1 + |x|)(2 - alpha_cc) +- y s) / ((1 + |x|)^2 + y^2).
+    The second arc is atan2(s, alpha_cc) = acos(alpha_cc).
     """
     s = math.sqrt(max(1.0 - a_cc * a_cc, 0.0))
     phi = math.atan2(yy, 1.0 + ax)
@@ -128,8 +127,8 @@ def _cc_point(tau: float, t: float) -> PlanarPoint:
 
 def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
     """Real roots of a*x^3 + b*x^2 + c*x + d; for a negligible a, the quadratic's roots
-    and then ``math.inf``, the third root, which a vanishing a sends to infinity. None
-    where a power in the depressed form passes the float range (a query over 1e39 away)."""
+    and then ``math.inf``, the third root, which a vanishing a sends to infinity. No roots
+    where the depressed form overflows, for a query over 1e39 away."""
     if abs(a) <= _COEF_ZERO:
         disc = c * c - 4.0 * b * d
         q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
@@ -139,8 +138,9 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         a = 0.0  # polished as the quadratic it is
     else:
         bn, cn, dn = b / a, c / a, d / a
-        try:  # depressed form z^3 + p z + q with x = z - bn/3
-            p = cn - bn * bn / 3.0
+        # depressed form z^3 + p z + q with x = z - bn/3
+        p = cn - bn * bn / 3.0
+        try:
             q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
             disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
         except OverflowError:  # float ** raises where * would give inf
