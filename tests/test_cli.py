@@ -245,7 +245,7 @@ def test_non_finite_input_is_an_input_error(scenario_file, capsys):
 
 
 def test_huge_finite_start_on_the_dubins_plant_ends_at_the_horizon(scenario_file, capsys):
-    # the parser accepts 1e160; the CC cubic's depressed form raised OverflowError
+    # the parser accepts 1e160, a query at which the CC cubic's depressed form overflows
     doc = dict(LINE_SIMPLE, plant="dubins", trajectory=dict(LINE_SIMPLE["trajectory"], xi=1e160))
     code = main(["solve", scenario_file(doc)])
     captured = capsys.readouterr()

@@ -245,7 +245,7 @@ class TestCubicRoots:
 
     @pytest.mark.parametrize("t, x, y", [(0.0, 1e160, 3.0), (1.0, 1e200, 0.0), (1.0, -1e52, 3.0)])
     def test_a_huge_query_has_no_root_and_a_finite_distance(self, t, x, y):
-        # a cube or square in the depressed form passes 1.8e308 and raised OverflowError
+        # a cube or square in the depressed form passes 1.8e308, where float ** raises
         assert cc_cubic_roots(t, PlanarPoint(x, y)) == []
         assert distance(t, PlanarPoint(x, y)) == math.hypot(x, y)
 
