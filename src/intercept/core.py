@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from operator import lt, sub, truediv
 from typing import Any, Callable, ClassVar, Iterable, NamedTuple
 
 
@@ -201,21 +202,21 @@ class PiecewiseLinearTrajectory(_Frozen):
             raise ValueError("at least one sample is required")
         if times[0] != 0.0:
             raise ValueError(f"sample #0 must be at t = 0, got t = {times[0]}")
-        speeds = [0.0]
-        segments = zip(times, times[1:], xs, xs[1:], ys, ys[1:])
-        for i, (t0, t1, x0, x1, y0, y1) in enumerate(segments, start=1):
-            if not t1 > t0:
-                raise ValueError(
-                    f"sample times must be strictly increasing: sample #{i} is at "
-                    f"t = {t1}, after t = {t0}"
-                )
-            speeds.append(math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
+        if not all(map(lt, times, later := times[1:])):  # NaN fails too
+            i = next(i for i, t1 in enumerate(later, 1) if not t1 > times[i - 1])
+            order = f"sample #{i} is at t = {times[i]}, after t = {times[i - 1]}"
+            raise ValueError(f"sample times must be strictly increasing: {order}")
+        lengths = map(math.hypot, map(sub, xs[1:], xs), map(sub, ys[1:], ys))
+        speeds = [0.0, *map(truediv, lengths, map(sub, later, times))]
         if math.isnan(sum(speeds)):  # speeds are >= 0: NaN only where one of them is
             i = next(i for i, speed in enumerate(speeds) if math.isnan(speed))
             raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is NaN")
         if (bound := max(speeds)) == math.inf:  # a jump whose length or speed overflows
             i = speeds.index(bound)
             raise ValueError(f"the speed from sample #{i - 1} to sample #{i} is infinite")
+        # a non-finite x or y makes a speed NaN or infinite; only the last t can be inf
+        if not all(map(math.isfinite, last := (times[-1], xs[-1], ys[-1]))):
+            raise ValueError(f"sample #{len(times) - 1} must be finite, got (t, x, y) = {last}")
         self._set(times=times, xs=xs, ys=ys, speed_bound=bound)
 
     def _at(self, t: float) -> PlanarPoint:
@@ -250,8 +251,7 @@ make_custom_trajectory = CustomTrajectory
 
 def make_piecewise_linear_trajectory(samples: Iterable) -> PiecewiseLinearTrajectory:
     """The piecewise-linear target through ``(t, PlanarPoint)`` samples."""
-    pairs = list(samples)
-    times, points = [t for t, _ in pairs], [p for _, p in pairs]
+    times, points = [*zip(*samples, strict=True)] or ((), ())  # no samples: empty columns
     return PiecewiseLinearTrajectory(times, [p.x for p in points], [p.y for p in points])
 
 

@@ -10,6 +10,7 @@ written with the shortest decimal form that reparses to the same double).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Any, NamedTuple
 
@@ -69,8 +70,31 @@ def _reject_unknown(doc: dict, allowed: set[str], context: str) -> None:
 
 
 def _parse_samples(samples_doc: Any) -> list[list[float]]:
+    """The ``times``, ``xs`` and ``ys`` columns of a track's samples.
+
+    A valid track takes one pass: one loop fills the columns, and one type
+    set and the column sums check them whole. Only where that fails does a
+    second loop check sample by sample, to name the first bad one.
+    """
     if not isinstance(samples_doc, list) or not samples_doc:
         raise ScenarioError("'samples' must be a non-empty list", field="samples")
+    columns = times, xs, ys = [], [], []
+    try:
+        for t, (x, y) in samples_doc:
+            times.append(t)
+            xs.append(x)
+            ys.append(y)
+        kinds = {*map(type, times), *map(type, xs), *map(type, ys)}  # no bool, str or None
+        # NaN and the infinities make a sum NaN or infinite. Ints are compared
+        # exactly: huge ones of opposite signs cancel in a sum, and ``float``
+        # rounds one just past the range to the largest float.
+        if kinds <= {float, int} and math.isfinite(sum(map(sum, columns))) and (
+            int not in kinds or max(max(map(abs, c)) for c in columns) <= _MAX
+        ):
+            return columns
+    except (TypeError, ValueError, OverflowError):
+        pass  # a malformed entry, or a sum past the float range
+    # a bad sample, or finite ones whose sum overflows
     columns = times, xs, ys = [], [], []
     for i, entry in enumerate(samples_doc):
         try:

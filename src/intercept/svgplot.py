@@ -53,10 +53,11 @@ def render_svg(
     ys: list[float] = []
 
     def polyline(points: list[PlanarPoint]) -> str:
-        xs.extend(p.x for p in points)
-        ys.extend(-p.y for p in points)
+        px, py = zip(*points)
+        xs.extend((min(px), max(px)))
+        ys.extend((-max(py), -min(py)))
         # flip y so mathematical +y renders upward
-        coords = " ".join(f"{_fmt(p.x)},{_fmt(-p.y)}" for p in points)
+        coords = " ".join([f"{float(x)!r},{float(-y)!r}" for x, y in points])
         return f'<polyline points="{coords}" />'
 
     n_traj = 256

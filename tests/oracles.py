@@ -7,17 +7,23 @@ sampling of the boundary curves with local golden-section refinement.
 ``reference_dubins_distance`` is the other kind of reference: the Dubins
 case analysis composed from ``classify``, ``theta_cs`` and the float helpers
 ``_case``, ``_cs`` and ``_cc_lengths``, which must agree with
-``dubins.distance`` bit for bit.
+``dubins.distance`` bit for bit. ``reference_samples`` is the per-sample
+check of a track's samples that the one-pass parse must agree with.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from typing import Any
 
 import numpy as np
 
 from intercept import dubins
 from intercept.core import PlanarPoint
+from intercept.scenario import ScenarioError
+
+_MAX = sys.float_info.max
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -180,3 +186,26 @@ def _reference_cc_distance(t: float, y: PlanarPoint) -> float:
             point = dubins._cc_point(tau, t)
             best = min(best, math.hypot(mirrored.x - point.x, mirrored.y - point.y))
     return best
+
+
+def reference_samples(samples_doc: Any) -> list[list[float]]:
+    """``scenario._parse_samples`` as it was before its one-pass form: every
+    sample checked on its own, in order, so the first bad one is the error."""
+    if not isinstance(samples_doc, list) or not samples_doc:
+        raise ScenarioError("'samples' must be a non-empty list", field="samples")
+    columns = times, xs, ys = [], [], []
+    for i, entry in enumerate(samples_doc):
+        try:
+            t, (x, y) = entry
+        except (TypeError, ValueError):
+            t = x = y = None
+        numbers = type(t) in (float, int) and type(x) in (float, int) and type(y) in (float, int)
+        if not (numbers and -_MAX <= t <= _MAX and -_MAX <= x <= _MAX and -_MAX <= y <= _MAX):
+            raise ScenarioError(
+                f"sample #{i} must look like [t, [x, y]] with finite numbers",
+                field=f"samples[{i}]",
+            )
+        times.append(t)
+        xs.append(x)
+        ys.append(y)
+    return columns

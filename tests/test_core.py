@@ -237,6 +237,21 @@ class TestPiecewiseLinearTrajectory:
         with pytest.raises(ValueError, match=message):
             PiecewiseLinearTrajectory(*columns)
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ((0.0,), (math.nan,), (0.0,)),
+            ((0.0,), (0.0,), (-math.inf,)),
+            ((0.0, math.inf), (0.0, 1.0), (0.0, 0.0)),
+            ((0.0, 1.0, math.inf), (0.0, 1.0, 2.0), (0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_non_finite_sample_without_a_speed_to_show_it_rejected(self, columns):
+        # a lone sample has no segment, and a segment that ends at t = inf has speed 0
+        last = len(columns[0]) - 1
+        with pytest.raises(ValueError, match=f"sample #{last} must be finite"):
+            PiecewiseLinearTrajectory(*columns)
+
 
 @pytest.mark.parametrize(
     "make",

@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intercept import scenario as scenario_module
 from intercept.core import (
     CaptureSpec,
     PlanarPoint,
@@ -22,6 +25,7 @@ from intercept.scenario import (
     parse_scenario,
 )
 from intercept.solver import EstimatorKind, SolveStatus, solve
+from oracles import reference_samples
 
 MINIMAL = """
 {
@@ -208,6 +212,114 @@ class TestParseScenario:
         doc["capture"]["ell"] = True
         with pytest.raises(ScenarioError, match="number"):
             parse_scenario(json.dumps(doc))
+
+
+def _track(samples: str) -> str:
+    return (
+        '{"plant": "simple", "trajectory": {"kind": "piecewise_linear"}, '
+        '"samples": %s, "capture": {"ell": 0.1, "epsilon": 1e-6}}'
+    ) % samples
+
+
+_HUGE = "1" + "0" * 400
+
+
+class TestSampleFastPath:
+    """The one-pass sample check must reject and accept what the per-sample one does."""
+
+    def test_huge_ints_that_cancel_in_a_sum_name_the_first(self):
+        with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(_track("[[0, [%s, 0]], [1, [-%s, 0]]]" % (_HUGE, _HUGE)))
+        assert exc.value.field == "samples[0]"
+
+    def test_an_int_just_past_the_float_range_is_rejected(self):
+        # ``float`` rounds it down to the largest float instead of raising
+        largest = int(sys.float_info.max)
+        text = _track("[[0, [0, 0]], [1, [%d, 0]]]")
+        assert parse_scenario(text % largest).trajectory.xs == (0.0, sys.float_info.max)
+        with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(text % (largest + 1))
+        assert exc.value.field == "samples[1]"
+
+    def test_finite_samples_whose_sum_overflows_are_accepted(self):
+        traj = parse_scenario(_track("[[0, [1e308, 0]], [1, [1e308, 0]]]")).trajectory
+        assert traj.xs == (1e308, 1e308)
+        assert traj.speed_bound == 0.0
+
+    @pytest.mark.parametrize("literal", ["true", "false", '"1"', "null"])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_a_non_number_in_the_first_sample_names_it(self, literal, slot):
+        # test_non_finite_sample_names_the_sample covers the second sample
+        numbers = ["0", "0", "0"]
+        numbers[slot] = literal
+        with pytest.raises(ScenarioError, match="finite") as exc:
+            parse_scenario(_track("[[%s, [%s, %s]], [1, [1, 1]]]" % tuple(numbers)))
+        assert exc.value.field == "samples[0]"
+
+    @pytest.mark.parametrize(
+        "samples, columns",
+        [
+            ("[[0, [1, 2]], [1, [3, 4]]]", ((0.0, 1.0), (1.0, 3.0), (2.0, 4.0))),
+            ("[[0, [1, 2.5]], [1.5, [3, 4]]]", ((0.0, 1.5), (1.0, 3.0), (2.5, 4.0))),
+        ],
+    )
+    def test_int_columns_become_floats(self, samples, columns):
+        traj = parse_scenario(_track(samples)).trajectory
+        assert (traj.times, traj.xs, traj.ys) == columns
+        for column in (traj.times, traj.xs, traj.ys):
+            assert {type(value) for value in column} == {float}
+
+
+_LARGEST = int(sys.float_info.max)
+_NUMBER = st.one_of(
+    st.floats(-100, 100), st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False)
+)
+_ODD = st.sampled_from(
+    [10**400, -(10**400), _LARGEST, -_LARGEST, _LARGEST + 1, 2**1024]
+    + [math.nan, math.inf, -math.inf, True, False, "1", None]
+)
+_MALFORMED = st.sampled_from([[0], [0, [1]], [0, [1, 2, 3]], [0, 1, 2], {"t": 0}, "ab", 5, [0, "xy"]])
+
+
+@st.composite
+def _sample_documents(draw):
+    """Small track documents: samples at t = 0, 1, 2, ... (ints or floats) with
+    numbers at x and y, where now and then a slot holds an odd value (huge
+    ints, NaN, infinities, bools, strings, null) or a whole entry is malformed."""
+
+    def slot(number):
+        return draw(_ODD) if draw(st.integers(0, 9)) == 9 else number
+
+    entries = []
+    for i in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 19)) == 19:
+            entries.append(draw(_MALFORMED))
+        else:
+            t = slot(draw(st.sampled_from([i, float(i)])))
+            entries.append([t, [slot(draw(_NUMBER)), slot(draw(_NUMBER))]])
+    return json.dumps(
+        {
+            "plant": "simple",
+            "trajectory": {"kind": "piecewise_linear"},
+            "samples": entries,
+            "capture": {"ell": 0.1, "epsilon": 1e-6},
+        }
+    )
+
+
+def _outcome(text):
+    try:
+        return repr(parse_scenario(text))
+    except ScenarioError as exc:
+        return "ScenarioError", str(exc), exc.field
+
+
+@given(_sample_documents())
+@settings(max_examples=500)
+def test_parse_agrees_with_the_per_sample_reference(text):
+    with mock.patch.object(scenario_module, "_parse_samples", reference_samples):
+        expected = _outcome(text)
+    assert _outcome(text) == expected
 
 
 @st.composite
