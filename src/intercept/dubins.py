@@ -25,8 +25,6 @@ HALF_PI = 0.5 * math.pi
 
 # leading coefficients smaller than this degrade the cubic's degree
 _COEF_ZERO = 1e-12
-# polished roots with an imaginary part below this count as real
-_IMAG_TOL = 1e-10
 
 
 class DubinsRegion(enum.Enum):
@@ -122,16 +120,30 @@ def _cc_point(tau: float, t: float) -> PlanarPoint:
     )
 
 
-# --- cubic solver for the CC stationarity condition --------------------------
+# --- the CC stationarity cubic ----------------------------------------------
 
 
-def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
-    """Real roots of a*x^3 + b*x^2 + c*x + d; for a negligible a, the quadratic's roots
-    and then ``math.inf``, the third root, which a vanishing a sends to infinity. No roots
-    where the depressed form overflows, for a query over 1e39 away."""
+def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
+    """Real roots of the CC distance's stationarity cubic a x^3 + b x^2 + c x + d at (t, y):
+    Viete's trigonometric form, then one Newton step per root.
+
+    With C = cos(t/3) and S = sin(t/3), b^2 - 3ac = b^2 + (3y + S)^2 - 4S^2 >= 5(C + 0.6)^2
+    + 3.2 > 0, so p < 0; the cubic always has three distinct real roots. Where a = -(y + S)
+    is negligible: the quadratic's roots, then ``math.inf``, which a vanishing a makes of the
+    third. No roots where (b/a)**3 overflows, which needs a query over about 2e90 away.
+    """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    third = t / 3.0
+    sin3, cos3 = math.sin(third), math.cos(third)
+    ax = abs(y.x)
+    a = -(y.y + sin3)
+    b = 3.0 + 3.0 * ax + cos3
+    c = 3.0 * y.y - sin3
+    d = cos3 - (1.0 + ax)
     if abs(a) <= _COEF_ZERO:
-        disc = c * c - 4.0 * b * d
-        q = -0.5 * (c + math.copysign(math.sqrt(disc), c))
+        # b >= 2 and d <= 0, so c^2 - 4bd >= 0: the quadratic has real roots
+        q = -0.5 * (c + math.copysign(math.sqrt(c * c - 4.0 * b * d), c))
         roots = [q / b]
         if q != 0.0:
             roots.append(d / q)
@@ -142,31 +154,14 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
         p = cn - bn * bn / 3.0
         try:
             q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
-            disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
         except OverflowError:  # float ** raises where * would give inf
             return []
         shift = -bn / 3.0
+        r = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
         roots = []
-        if disc > 0.0:
-            s = math.sqrt(disc)
-            u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-            v = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-            roots.append(u + v + shift)
-            # the conjugate pair counts as real when it is nearly so
-            imag = math.sqrt(3.0) / 2.0 * abs(u - v)
-            if imag <= _IMAG_TOL:
-                roots.append(-(u + v) / 2.0 + shift)
-        elif disc == 0.0:
-            if p == 0.0:
-                roots.append(shift)
-            else:
-                roots.append(3.0 * q / p + shift)
-                roots.append(-1.5 * q / p + shift)
-        else:
-            r = 2.0 * math.sqrt(-p / 3.0)
-            phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
-            for k in range(3):
-                roots.append(r * math.cos((phi - TWO_PI * k) / 3.0) + shift)
+        for k in range(3):  # a loop: a list comprehension builds a function per call
+            roots.append(r * math.cos((phi - TWO_PI * k) / 3.0) + shift)
     # one Newton step per root, kept only if it does not increase the residual
     for i, x in enumerate(roots):
         f = ((a * x + b) * x + c) * x + d
@@ -177,23 +172,6 @@ def _real_cubic_roots(a: float, b: float, c: float, d: float) -> list[float]:
             if math.isfinite(x2) and abs(f2) <= abs(f):
                 roots[i] = x2
     return roots + [math.inf] if a == 0.0 else roots  # a == 0.0: the quadratic branch
-
-
-def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
-    """Real roots of the stationarity cubic for the CC distance at (t, y), ending in
-    ``math.inf`` where its leading coefficient -(y + sin(t/3)) vanishes."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    third = t / 3.0
-    sin3, cos3 = math.sin(third), math.cos(third)
-    ax = abs(y.x)
-    # b >= 2 and d <= 0, so c^2 - 4bd >= 0: the quadratic that a negligible a
-    # leaves always has real roots, which _real_cubic_roots relies on
-    a = -(y.y + sin3)
-    b = 3.0 + 3.0 * ax + cos3
-    c = 3.0 * y.y - sin3
-    d = cos3 - (1.0 + ax)
-    return _real_cubic_roots(a, b, c, d)
 
 
 def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:

@@ -86,6 +86,12 @@ def _speed_bound(trajectory: TargetTrajectory) -> float:
     return v
 
 
+def _check_capture_radius(ell: float) -> None:
+    """Check a scan's radius as ``CaptureSpec`` does: NaN or inf would read as a capture at 0."""
+    if not 0.0 <= ell < math.inf:
+        raise ValueError(f"capture radius must be finite and >= 0, got {ell}")
+
+
 def _iterates(plant, trajectory, ell, reach, step, max_steps):
     """Yield ``(t, y, rho, t_next)`` from t = 0; t_next is evaluated only when resumed.
 
@@ -185,12 +191,14 @@ def refine_iterates(
     Replaces the relative stopping rule with a step-size tolerance of
     ``1e-14 * (1 + t)`` so the last time is accurate to near machine
     precision for transversal approaches; it is the reference capture time,
-    yielded unevaluated. Raises ValueError as ``solve`` does or if
-    ``max_iterations < 1``, and ConvergenceError after ``max_iterations``
-    steps or on a later non-finite step, target position or distance.
+    yielded unevaluated. Raises ValueError as ``solve`` does, for a capture
+    radius outside [0, inf) or if ``max_iterations < 1``, and ConvergenceError
+    after ``max_iterations`` steps or on a later non-finite step, target
+    position or distance.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    _check_capture_radius(ell)
     iterates = _iterates(plant, trajectory, ell, ell, best_estimator, max_iterations)
     for n, (t, _, _, t_next) in enumerate(iterates):
         if n == 0:
@@ -234,13 +242,15 @@ def grid_oracle(
     Scans from t = 0 with the Lipschitz-safe step max(resolution, g/(1+v)),
     which provably cannot skip a crossing by more than ``resolution``, then
     bisects the bracketing interval down to ``resolution``. Returns None if
-    no crossing is found up to the horizon; checks the speed bound as ``solve``.
+    no crossing is found up to the horizon; checks the speed bound as ``solve``
+    and the capture radius as ``CaptureSpec``.
     """
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     v = _speed_bound(trajectory)
+    _check_capture_radius(ell)
 
     def g(t: float) -> float:
         return plant.distance(t, trajectory.position(t)) - ell

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -206,13 +207,19 @@ class TestCubicRoots:
             assert abs(res) < 1e-9
 
     @staticmethod
-    def _residual(t, p, xi):
+    def _coefficients(t, p):
+        """(a, b, c, d) of the cubic, each float expression as cc_cubic_roots has it."""
         ax = abs(p.x)
         third = t / 3
         a = -(p.y + math.sin(third))
         b = 3 + 3 * ax + math.cos(third)
         c = 3 * p.y - math.sin(third)
         d = math.cos(third) - (1 + ax)
+        return a, b, c, d
+
+    @classmethod
+    def _residual(cls, t, p, xi):
+        a, b, c, d = cls._coefficients(t, p)
         return ((a * xi + b) * xi + c) * xi + d
 
     def test_random_roots_have_small_residuals(self):
@@ -220,39 +227,55 @@ class TestCubicRoots:
         for _ in range(3000):
             t = rng.uniform(0, 12)
             p = PlanarPoint(rng.uniform(-8, 8), rng.uniform(-8, 8))
-            ax = abs(p.x)
-            third = t / 3
-            scale = max(
-                1.0,
-                abs(p.y + math.sin(third)),
-                3 + 3 * ax + abs(math.cos(third)),
-                abs(3 * p.y - math.sin(third)),
-                abs(math.cos(third) - (1 + ax)),
-            )
+            scale = max(1.0, *map(abs, self._coefficients(t, p)))
             for xi in cc_cubic_roots(t, p):
                 assert abs(self._residual(t, p, xi)) < 1e-9 * scale
 
-    def test_near_double_root_counts_as_real(self):
-        # (x - r)^2 (x + 2r) with its constant nudged up: a tiny positive discriminant,
-        # and a conjugate pair whose imaginary part is below the tolerance
-        r = 1e-3
-        roots = dubins._real_cubic_roots(1.0, 0.0, -3.0 * r * r, 2.0 * r**3 * (1.0 + 2.2e-16))
-        assert roots == pytest.approx([-2.0 * r, r], abs=1e-15)
+    def test_random_roots_near_the_origin_are_accurate_to_their_spread(self):
+        # Near the origin a = -(y + sin(t/3)) is small and one root runs off to about -b/a.
+        # There acos sees an argument next to +-1 and keeps half the digits, so a root can
+        # be 5e-4 off at a residual of 6e-6. The bound is the Newton correction |f/f'|
+        # against the roots' spread 1 + |b/a|, which Viete's form meets to about sqrt(eps)
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            t = rng.uniform(0, 1)
+            r, angle = rng.uniform(0, 1e-2), rng.uniform(0, 2 * math.pi)
+            p = PlanarPoint(r * math.cos(angle), r * math.sin(angle))
+            a, b, c, _ = self._coefficients(t, p)
+            roots = cc_cubic_roots(t, p)
+            assert len(roots) == 3 and all(map(math.isfinite, roots))
+            for xi in roots:
+                slope = (3 * a * xi + 2 * b) * xi + c
+                assert abs(self._residual(t, p, xi)) <= 1e-8 * abs(slope) * (1 + abs(b / a))
 
-    def test_triple_root(self):
-        # (x - 1)^3 = x^3 - 3x^2 + 3x - 1: a zero discriminant with p == 0
-        assert dubins._real_cubic_roots(1.0, -3.0, 3.0, -1.0) == [1.0]
+    @given(
+        st.one_of(
+            st.tuples(st.floats(0, 1), st.floats(-1e-2, 1e-2), st.floats(-1e-2, 1e-2)),
+            st.tuples(st.floats(0, 20), st.floats(-8, 8), st.floats(-8, 8)),
+            st.tuples(st.floats(0, 20), st.floats(-1e30, 1e30), st.floats(-1e30, 1e30)),
+        )
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_the_cubic_has_three_distinct_real_roots(self, query):
+        # what Viete's form relies on, exactly for the float coefficients: b^2 > 3ac makes
+        # the depressed form's p negative, and a positive discriminant makes the roots real
+        t, x, y = query
+        a, b, c, d = map(Fraction, self._coefficients(t, PlanarPoint(x, y)))
+        assert b * b > 3 * a * c
+        if a != 0:  # else the quadratic branch
+            disc = 18 * a * b * c * d - 4 * b**3 * d + (b * c) ** 2 - 4 * a * c**3
+            assert disc > 27 * (a * d) ** 2
 
     @pytest.mark.parametrize("t, x, y", [(0.0, 1e160, 3.0), (1.0, 1e200, 0.0), (1.0, -1e52, 3.0)])
     def test_a_huge_query_has_no_root_and_a_finite_distance(self, t, x, y):
-        # a cube or square in the depressed form passes 1.8e308, where float ** raises
-        assert cc_cubic_roots(t, PlanarPoint(x, y)) == []
+        # (b/a)**3 passes 1.8e308 for the two points past 1e100, where float ** raises;
+        # at 1e52 the three roots are finite
+        roots = cc_cubic_roots(t, PlanarPoint(x, y))
+        if abs(x) > 1e100:
+            assert roots == []
+        else:
+            assert len(roots) == 3 and all(map(math.isfinite, roots))
         assert distance(t, PlanarPoint(x, y)) == math.hypot(x, y)
-
-    def test_known_cubic(self):
-        # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        roots = sorted(dubins._real_cubic_roots(1.0, -6.0, 11.0, -6.0))
-        assert roots == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
 
 class TestDistance:

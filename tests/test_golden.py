@@ -8,14 +8,13 @@ queries plus boundary samples; a distance of 0.0 is the membership answer.
 Any change to the solver, the estimators or the distance functions that
 moves one of these by a single ulp fails here. Finally it holds the SHA-256
 digest of the ``render_svg`` document of every shipped scenario, of the
-showcase Lissajous solve of ``scripts/plot_interception.py`` and of a capture
-at t = 0 on both plants, and one digest over seeded line solves on both
-plants, so a change to how plants are drawn or how the document is written
-must keep every SVG byte-identical. Three SHA-256 digests cover seeded solve
-documents and ``plant.path`` answers at points outside and inside the
-reachable set, so a change to how plants build paths must keep every path
-bit-identical, and one that moves only paths to reachable points shows as
-exactly that.
+showcase Lissajous solve and of a capture at t = 0 on both plants, and one
+digest over seeded line solves on both plants, so a change to how plants are
+drawn or how the document is written must keep every SVG byte-identical.
+Three SHA-256 digests cover seeded solve documents and ``plant.path`` answers
+at points outside and inside the reachable set, so a change to how plants
+build paths must keep every path bit-identical, and one that moves only paths
+to reachable points shows as exactly that.
 Last, for three seeded recorded-track documents (200, 1,000 and 5,000
 samples written as a mix of integer and float literals), it holds the SHA-256
 of the re-emitted scenario and of the solve's result document, so a change
@@ -121,7 +120,7 @@ def svg_cases():
         cases.append(
             (path.name, scenario.plant, scenario.trajectory, scenario.capture, scenario.estimator)
         )
-    # the showcase of scripts/plot_interception.py
+    # the Lissajous target of scenarios/lissajous_*.json, solved without a horizon
     showcase = make_lissajous_trajectory(-1.0, -2.0, 1.0, math.sqrt(2.0), 1.0)
     # captured at t = 0: no iterate time, so an empty reachable group
     at_start = make_line_trajectory(0.05, 0.0, 0.0, 0.1)

@@ -338,6 +338,22 @@ class TestSolve:
         with pytest.raises(ValueError, match="speed bound must be finite and >= 0"):
             grid_oracle(plant, traj, 0.1, 10.0, 1e-3)
 
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda traj, ell: refine_ground_truth(SIMPLE_MOTIONS, traj, ell),
+            lambda traj, ell: next(refine_iterates(SIMPLE_MOTIONS, traj, ell)),
+            lambda traj, ell: grid_oracle(SIMPLE_MOTIONS, traj, ell, 10.0, 1e-3),
+        ],
+        ids=["refine_ground_truth", "refine_iterates", "grid_oracle"],
+    )
+    @pytest.mark.parametrize("ell", [math.nan, math.inf, -0.1])
+    def test_invalid_capture_radius_is_rejected_by_every_scan(self, scan, ell):
+        # NaN and inf once gave a capture at t = 0.0, and -1 a time past the true one
+        traj = make_line_trajectory(0, 1, 0, 0.25)
+        with pytest.raises(ValueError, match="capture radius must be finite and >= 0"):
+            scan(traj, ell)
+
     def test_step_underflow_flags_unreachable(self):
         class FrozenDistancePlant(PlantModel):
             name = "frozen"

@@ -49,20 +49,6 @@ def test_import_does_not_load_elementtree():
     assert out.stdout.strip() == "False"
 
 
-def test_showcase_script_writes_both_svgs(tmp_path):
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    src = pathlib.Path(intercept.__file__).resolve().parent.parent
-    subprocess.run(
-        [sys.executable, str(repo / "scripts" / "plot_interception.py"), str(tmp_path)],
-        capture_output=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    for plant_name in ("simple", "dubins"):
-        root = ET.parse(tmp_path / f"{plant_name}_interception.svg").getroot()
-        assert root.tag == f"{SVG_NS}svg"
-
-
 def test_declaration_and_single_root():
     traj, result = _solve_line(SIMPLE_MOTIONS)
     times = [t for t, _ in result.trace.iterates if t > 0]
