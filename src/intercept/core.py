@@ -29,6 +29,12 @@ class PlanarPoint(NamedTuple):
 ORIGIN = PlanarPoint(0.0, 0.0)
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    """Reject a speed, speed bound or capture radius outside [0, inf), NaN too."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 class _Capture(NamedTuple):
     ell: float
     epsilon: float
@@ -40,8 +46,7 @@ class CaptureSpec(_Capture):
     __slots__ = ()
 
     def __new__(cls, ell: float, epsilon: float) -> CaptureSpec:
-        if not 0.0 <= ell < math.inf:
-            raise ValueError(f"capture radius must be finite and >= 0, got {ell}")
+        _check_nonnegative("capture radius", ell)
         if not 0.0 < epsilon < math.inf:
             raise ValueError(f"relative stopping error must be finite and > 0, got {epsilon}")
         return tuple.__new__(cls, (ell, epsilon))
@@ -109,12 +114,6 @@ class _Frozen(TargetTrajectory):
         return type(self), tuple(self.scenario_fields().values())
 
 
-def _check_speed(name: str, value: float) -> None:
-    """Reject a speed or speed bound outside [0, inf), NaN too."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 class LineTrajectory(_Frozen):
     """Target moving with constant velocity v in direction phi from (xi, eta)."""
 
@@ -124,7 +123,7 @@ class LineTrajectory(_Frozen):
     __slots__ = (*_fields, "speed_bound", "_cos", "_sin")
 
     def __init__(self, xi: float, eta: float, phi: float, v: float) -> None:
-        _check_speed("target speed", v)
+        _check_nonnegative("target speed", v)
         phi, v = float(phi), float(v)
         self._set(
             xi=float(xi), eta=float(eta), phi=phi, v=v,
@@ -156,9 +155,9 @@ class LissajousTrajectory(_Frozen):
     ) -> None:
         if not (omega_x > 0 and omega_y > 0):  # NaN fails too
             raise ValueError(f"frequencies must be > 0, got {omega_x}, {omega_y}")
-        _check_speed("target speed", v)
+        _check_nonnegative("target speed", v)
         if speed_bound is not None:
-            _check_speed("speed bound", speed_bound)
+            _check_nonnegative("speed bound", speed_bound)
             speed_bound = float(speed_bound)
         v, omega_x, omega_y = float(v), float(omega_x), float(omega_y)
         self._set(
@@ -237,7 +236,7 @@ class CustomTrajectory(_Frozen):
     _fields = __slots__ = ("fn", "speed_bound")
 
     def __init__(self, fn: Callable[[float], PlanarPoint], speed_bound: float) -> None:
-        _check_speed("speed bound", speed_bound)
+        _check_nonnegative("speed bound", speed_bound)
         self._set(fn=fn, speed_bound=speed_bound)
 
     def _at(self, t: float) -> PlanarPoint:

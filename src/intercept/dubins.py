@@ -124,8 +124,9 @@ def _cc_point(tau: float, t: float) -> PlanarPoint:
 
 
 def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
-    """Real roots of the CC distance's stationarity cubic a x^3 + b x^2 + c x + d at (t, y):
-    Viete's trigonometric form, then one Newton step per root.
+    """Real roots of the CC distance's stationarity cubic a x^3 + b x^2 + c x + d at (t, y),
+    by Viete's trigonometric form, unpolished: each is a stationary point of the distance
+    along the CC boundary, so off the boundary a root's error reaches the distance only squared.
 
     With C = cos(t/3) and S = sin(t/3), b^2 - 3ac = b^2 + (3y + S)^2 - 4S^2 >= 5(C + 0.6)^2
     + 3.2 > 0, so p < 0; the cubic always has three distinct real roots. Where a = -(y + S)
@@ -147,31 +148,22 @@ def cc_cubic_roots(t: float, y: PlanarPoint) -> list[float]:
         roots = [q / b]
         if q != 0.0:
             roots.append(d / q)
-        a = 0.0  # polished as the quadratic it is
-    else:
-        bn, cn, dn = b / a, c / a, d / a
-        # depressed form z^3 + p z + q with x = z - bn/3
-        p = cn - bn * bn / 3.0
-        try:
-            q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
-        except OverflowError:  # float ** raises where * would give inf
-            return []
-        shift = -bn / 3.0
-        r = 2.0 * math.sqrt(-p / 3.0)
-        phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
-        roots = []
-        for k in range(3):  # a loop: a list comprehension builds a function per call
-            roots.append(r * math.cos((phi - TWO_PI * k) / 3.0) + shift)
-    # one Newton step per root, kept only if it does not increase the residual
-    for i, x in enumerate(roots):
-        f = ((a * x + b) * x + c) * x + d
-        df = (3.0 * a * x + 2.0 * b) * x + c
-        if df != 0.0 and math.isfinite(f / df):
-            x2 = x - f / df
-            f2 = ((a * x2 + b) * x2 + c) * x2 + d
-            if math.isfinite(x2) and abs(f2) <= abs(f):
-                roots[i] = x2
-    return roots + [math.inf] if a == 0.0 else roots  # a == 0.0: the quadratic branch
+        roots.append(math.inf)
+        return roots
+    bn, cn, dn = b / a, c / a, d / a
+    # depressed form z^3 + p z + q with x = z - bn/3
+    p = cn - bn * bn / 3.0
+    try:
+        q = 2.0 * bn**3 / 27.0 - bn * cn / 3.0 + dn
+    except OverflowError:  # float ** raises where * would give inf
+        return []
+    shift = -bn / 3.0
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * r))))
+    roots = []
+    for k in range(3):  # a loop: a list comprehension builds a function per call
+        roots.append(r * math.cos((phi - TWO_PI * k) / 3.0) + shift)
+    return roots
 
 
 def _nearest(t: float, y: PlanarPoint) -> tuple[float, float, bool]:
@@ -230,8 +222,8 @@ def distance(t: float, y: PlanarPoint) -> float:
 
 def boundary_points(t: float, n: int) -> list[PlanarPoint]:
     """n samples of the CS family, then n of the CC family; their mirror image is the rest."""
-    if t <= 0:
-        raise ValueError(f"time must be > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be finite and > 0, got {t}")
     if n < 2:
         raise ValueError(f"need at least 2 samples per branch, got {n}")
     theta_hi, tau_hi = min(t, TWO_PI), min(t, HALF_PI)

@@ -187,6 +187,8 @@ class SimpleMotions(PlantModel):
         return t
 
     def reachable_boundary(self, t: float) -> float:
+        if not 0.0 < t < math.inf:
+            raise ValueError(f"time must be finite and > 0, got {t}")
         return t
 
     def path(

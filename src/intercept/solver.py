@@ -15,7 +15,7 @@ import math
 import sys
 from typing import Iterator, NamedTuple
 
-from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory
+from .core import CaptureSpec, PlanarPoint, SolveTrace, TargetTrajectory, _check_nonnegative
 from .plants import InterceptionPath, PlantModel
 
 
@@ -81,15 +81,8 @@ def best_estimator(
 def _speed_bound(trajectory: TargetTrajectory) -> float:
     """The declared bound v: every step divides by 1 + v, safe only for 0 <= v < inf."""
     v = trajectory.speed_bound
-    if not 0.0 <= v < math.inf:  # NaN fails too
-        raise ValueError(f"trajectory speed bound must be finite and >= 0, got {v}")
+    _check_nonnegative("trajectory speed bound", v)
     return v
-
-
-def _check_capture_radius(ell: float) -> None:
-    """Check a scan's radius as ``CaptureSpec`` does: NaN or inf would read as a capture at 0."""
-    if not 0.0 <= ell < math.inf:
-        raise ValueError(f"capture radius must be finite and >= 0, got {ell}")
 
 
 def _iterates(plant, trajectory, ell, reach, step, max_steps):
@@ -198,7 +191,7 @@ def refine_iterates(
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    _check_capture_radius(ell)
+    _check_nonnegative("capture radius", ell)
     iterates = _iterates(plant, trajectory, ell, ell, best_estimator, max_iterations)
     for n, (t, _, _, t_next) in enumerate(iterates):
         if n == 0:
@@ -250,7 +243,7 @@ def grid_oracle(
     if not 0.0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     v = _speed_bound(trajectory)
-    _check_capture_radius(ell)
+    _check_nonnegative("capture radius", ell)
 
     def g(t: float) -> float:
         return plant.distance(t, trajectory.position(t)) - ell

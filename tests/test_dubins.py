@@ -292,12 +292,19 @@ class TestDistance:
 
     def test_matches_oracle_on_random_batch(self):
         rng = np.random.default_rng(21)
+        # points on the curve y = -sin(t/3) + delta, where the cubic's a = -(y + sin(t/3))
+        # nearly vanishes and Viete's form keeps only part of two roots' digits
+        near_a_zero = np.random.default_rng(27)
         for t in rng.uniform(0.05, 7.0, size=6):
             oracle = DubinsBoundaryOracle(float(t), n_per_branch=20_000)
             for _ in range(25):
                 r = rng.uniform(0, 8)
                 ang = rng.uniform(0, 2 * math.pi)
                 p = PlanarPoint(r * math.cos(ang), r * math.sin(ang))
+                assert abs(distance(float(t), p) - oracle.distance(p)) <= 1e-5
+            for _ in range(34):
+                delta = near_a_zero.choice((-1.0, 1.0)) * 10.0 ** near_a_zero.uniform(-12, -3)
+                p = PlanarPoint(near_a_zero.uniform(-4, 4), -math.sin(t / 3) + delta)
                 assert abs(distance(float(t), p) - oracle.distance(p)) <= 1e-5
 
     @given(times, points)

@@ -14,7 +14,7 @@ from intercept.core import (
     make_line_trajectory,
     make_lissajous_trajectory,
 )
-from intercept.dubins import DUBINS_CAR
+from intercept.dubins import DUBINS_CAR, boundary_points
 from intercept.plants import SIMPLE_MOTIONS, SimpleMotions
 from intercept.solver import solve
 from intercept.svgplot import render_svg
@@ -128,3 +128,27 @@ def test_nonpositive_times_are_skipped():
     root = ET.fromstring(svg)
     reachable = next(g for g in root.findall(f"{SVG_NS}g") if g.get("id") == "reachable")
     assert len(reachable.findall(f"{SVG_NS}polyline")) == 1
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "outline",
+    [
+        SIMPLE_MOTIONS.reachable_boundary,
+        DUBINS_CAR.reachable_boundary,
+        lambda t: boundary_points(t, 3),
+    ],
+    ids=["simple", "dubins", "boundary_points"],
+)
+def test_an_outline_needs_a_finite_positive_time(outline, t):
+    with pytest.raises(ValueError, match=f"time must be finite and > 0, got {t}"):
+        outline(t)
+
+
+@pytest.mark.parametrize("plant", [SIMPLE_MOTIONS, DUBINS_CAR], ids=["simple", "dubins"])
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_a_non_finite_time_is_not_drawn(plant, t):
+    # render_svg skips only times <= 0; NaN used to reach the document as "nan"
+    traj, result = _solve_line(plant)
+    with pytest.raises(ValueError, match=f"got {t}"):
+        render_svg(plant, traj, result, [t])
