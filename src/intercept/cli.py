@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on input errors, 2 when a solve ends without
-interception (budget exhausted / no capture up to the horizon / unreachable)
-or an oracle finds no crossing.
+interception (budget exhausted / no capture up to the horizon / unreachable:
+the iterates left the float range) or an oracle finds no crossing.
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class TargetTrajectory:
 
 
 class _Frozen(TargetTrajectory):
-    """A built-in kind: immutable, with ``repr``, ``==`` and ``hash`` over ``_fields``."""
+    """A built-in kind: immutable; ``repr``, ``==`` and ``hash`` read ``scenario_fields()``."""
 
     __slots__ = ()
 
@@ -89,20 +89,17 @@ class _Frozen(TargetTrajectory):
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.scenario_fields().items())
         return f"{type(self).__name__}({shown})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.scenario_fields() == other.scenario_fields()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple(self.scenario_fields().values()))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -124,14 +124,12 @@ def solve(
     """Iterate the chosen estimator from t = 0 until the target is captured.
 
     Stops when distance <= ell*(1 + epsilon), after ``max_iterations`` steps
-    (status ``BUDGET``), before evaluating a time past ``horizon`` (status
-    ``HORIZON``: every iterate is a lower bound on the capture time, so none
-    exists up to the horizon, and ``t_star`` is that first iterate past it,
-    or the largest float if the step overflowed), or when the step stays
-    below 1e-15*(1 + t) for ten consecutive iterations (status
-    ``UNREACHABLE`` - a heuristic, since an infinite capture time cannot be
-    certified in finite time). A step to a non-finite time (unless +inf
-    passes a finite horizon), target position or distance also ends the solve
+    (status ``BUDGET``; ``t_star`` is a lower bound on the capture time), or
+    before evaluating a time past ``horizon`` (status ``HORIZON``: every
+    iterate is a lower bound on the capture time, so none exists up to the
+    horizon, and ``t_star`` is that first iterate past it, or the largest
+    float if the step overflowed). Only a step to a non-finite time (unless
+    +inf passes a finite horizon), target position or distance ends the solve
     as ``UNREACHABLE``, at the last finite iterate; a speed bound outside [0, inf),
     a horizon that is not > 0, ``max_iterations < 0``, or a non-finite target
     position or distance at t = 0 raises ValueError. For
@@ -148,12 +146,9 @@ def solve(
     step = simple_estimator if estimator is EstimatorKind.SIMPLE else best_estimator
 
     iterates = []
-    underflow_run = 0
     status = SolveStatus.UNREACHABLE
     for t, y, rho, t_next in _iterates(plant, trajectory, ell, threshold, step, max_iterations):
         iterates.append((t, rho))
-        if underflow_run >= 10:
-            break
         if t_next is None:
             status = SolveStatus.INTERCEPTED if rho <= threshold else SolveStatus.BUDGET
             break
@@ -161,7 +156,6 @@ def solve(
             # not evaluated, but a proven lower bound on the capture time
             status, t = SolveStatus.HORIZON, min(t_next, sys.float_info.max)
             break
-        underflow_run = underflow_run + 1 if t_next - t < 1e-15 * (1.0 + t_next) else 0
 
     path = None
     if status is SolveStatus.INTERCEPTED:

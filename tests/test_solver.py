@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 
 import numpy as np
@@ -110,8 +111,8 @@ class TestSimpleEstimator:
     @example(t=1.136e-187, y=PlanarPoint(1.594e-222, 1.136e-187), v=0.0, ell=0.0)
     @settings(max_examples=200, deadline=None)
     def test_step_positive_when_uncaptured(self, t, y, v, ell):
-        # a step below float resolution at t rounds away; solve reports
-        # repeated such steps as UNREACHABLE
+        # a step below float resolution at t rounds away; solve then stalls
+        # at t until its budget ends it
         for plant in (SIMPLE_MOTIONS, DUBINS_CAR):
             rho = plant.distance(t, y)
             if rho > ell:
@@ -354,7 +355,9 @@ class TestSolve:
         with pytest.raises(ValueError, match="capture radius must be finite and >= 0"):
             scan(traj, ell)
 
-    def test_step_underflow_flags_unreachable(self):
+    def test_a_stall_ends_on_the_budget(self):
+        # the margin ell*epsilon is below float resolution, so the distance
+        # never reaches the threshold; the steps stay positive to the budget
         class FrozenDistancePlant(PlantModel):
             name = "frozen"
 
@@ -363,9 +366,14 @@ class TestSolve:
 
         traj = make_line_trajectory(0, 1, 0, 0.0)
         result = solve(
-            FrozenDistancePlant(), traj, CaptureSpec(1.0, 1e-16), EstimatorKind.SIMPLE
+            FrozenDistancePlant(), traj, CaptureSpec(1.0, 1e-16), EstimatorKind.SIMPLE,
+            max_iterations=50,
         )
-        assert result.status is SolveStatus.UNREACHABLE
+        assert result.status is SolveStatus.BUDGET
+        assert result.trace.iteration_count == 50
+        times = [t for t, _ in result.trace.iterates]
+        assert all(t1 < t2 for t1, t2 in zip(times, times[1:]))
+        assert result.t_star == times[-1]
 
     def test_zero_capture_radius_uses_absolute_threshold(self):
         traj = make_line_trajectory(0, 1, 0, 0.0)
@@ -483,6 +491,48 @@ class TestSolve:
             inner = grid_oracle(DUBINS_CAR, traj, ell, horizon, res)
             assert inner is None or t <= inner + 1e-9 * (1 + t)
         assert statuses == {SolveStatus.INTERCEPTED, SolveStatus.HORIZON}
+
+    @pytest.mark.parametrize(
+        "line, capture, steps",
+        [
+            # steps below 1e-15*(1 + t) come well before the capture
+            ((1e6, 0, math.pi / 2, 0.9), CaptureSpec(0.0, 1e-6), 312),
+            (
+                (2.7314282410580972, -1.9145410002964822, 5.1937708813661985, 0.9461167661262626),
+                CaptureSpec(0.1, 1.1e-12),
+                1122,
+            ),
+        ],
+        ids=["far", "tight"],
+    )
+    def test_tiny_steps_still_reach_the_capture(self, line, capture, steps):
+        result = solve(DUBINS_CAR, make_line_trajectory(*line), capture)
+        assert result.status is SolveStatus.INTERCEPTED
+        assert result.trace.iteration_count == steps
+
+    def test_no_capturable_target_is_unreachable(self):
+        # starts up to 1e7 away and margins ell*epsilon down to below float
+        # resolution: every target is slower than the plant, so a solve ends
+        # captured or on its budget, and on simple motions inside the closed form
+        rng = random.Random(29)
+        for plant in (SIMPLE_MOTIONS, DUBINS_CAR):
+            for _ in range(150):
+                start, bearing = 10 ** rng.uniform(0, 7), rng.uniform(0, 2 * math.pi)
+                xi, eta = start * math.cos(bearing), start * math.sin(bearing)
+                phi, v = rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.95)
+                ell = 0.0 if rng.random() < 1 / 3 else 10 ** rng.uniform(-2, 0)
+                capture = CaptureSpec(ell, 10 ** rng.uniform(-13, -3))
+                traj = make_line_trajectory(xi, eta, phi, v)
+                result = solve(plant, traj, capture, max_iterations=2000)
+                assert result.status in (SolveStatus.INTERCEPTED, SolveStatus.BUDGET)
+                if plant is not SIMPLE_MOTIONS:
+                    continue
+                t = result.t_star
+                tol = 1e-9 * (1 + t)
+                assert t <= line_interception_time(xi, eta, phi, v, ell) + tol
+                if result.status is SolveStatus.INTERCEPTED:
+                    reach = ell * (1 + capture.epsilon) if ell > 0 else EPSILON_ABS
+                    assert t >= line_interception_time(xi, eta, phi, v, reach) - tol
 
 
 class TestRefineGroundTruth:
